@@ -697,10 +697,11 @@ end_module.
 
 // BenchmarkE21HashJoin compares nested-loops and hash access paths on
 // transitive closures dense enough for the planner to adopt the hash mark
-// (the deterministic gate is engine.TestPlannerPicksHashJoin). The
-// right-linear rule exercises the generic build/probe path through
-// lookupFor — every delta tuple probes the full base relation; the
-// doubly recursive rule routes through the symmetric delta fast path.
+// (the deterministic gates are engine.TestPlannerPicksHashJoin and
+// engine.TestHashJoinAllocs). Both arms run the planner's build/probe marks
+// through lookupFor: in the right-linear rule every delta tuple probes the
+// full base relation; in the doubly recursive rule ("sym") each delta
+// version probes a table over the other recursive literal's range.
 // @no_indexing isolates the comparison: without it the optimizer plants a
 // persistent argIndex and both paths enumerate the same candidates.
 func BenchmarkE21HashJoin(b *testing.B) {
@@ -754,8 +755,8 @@ end_module.
 // otherwise identical systems — answers are byte-identical by
 // construction (the differential suite in internal/engine pins it).
 //
-// reach is the E05 reachability closure: two-literal rules the streaming
-// hash-join layer already handles, so the bytecode margin there is small
+// reach is the E05 reachability closure: two-literal rules the hash-join
+// marks already serve, so the bytecode margin there is small
 // and honest. spath is E05 shortest path under an aggregate selection.
 // arith is the workload the machine exists for — a three-literal
 // recursion with an arithmetic assignment and a bound comparison per

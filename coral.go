@@ -72,11 +72,9 @@ func (s *System) SetJoinPlanning(on bool) { s.eng.JoinPlanning = on }
 // join planner estimates that a body literal will be probed many times, the
 // literal's scan range is loaded once into a transient hash table pre-sized
 // from live statistics and every probe becomes a bucket lookup, replacing
-// per-probe index searches; two-literal recursive rules additionally take a
-// symmetric fast path whose semi-naive delta versions probe build tables
-// over each other's ranges. The classic build/probe form requires
-// SetJoinPlanning on (the planner places the marks). On and off produce
-// identical answer sets in identical order.
+// per-probe index searches. Hash joins require SetJoinPlanning on (the
+// planner places the marks). On and off produce identical answer sets in
+// identical order.
 func (s *System) SetHashJoins(on bool) { s.eng.HashJoins = on }
 
 // SetFlowOptimization toggles the flow-analysis-driven optimizations (on

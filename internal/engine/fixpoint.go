@@ -46,8 +46,7 @@ type matEval struct {
 	plans    map[planKey]*cachedPlan
 
 	// hashing enables hash-join access paths (hashjoin.go): the planner's
-	// build/probe marking and the symmetric positional fast path. On and
-	// off produce identical answer sets.
+	// build/probe marking. On and off produce identical answer sets.
 	hashing bool
 
 	// seed supplies static cardinality estimates where live statistics are
@@ -416,17 +415,6 @@ func (me *matEval) applyRecursive(c *Compiled, now map[ast.PredKey]relation.Mark
 		pred := c.Body[pos].Pred
 		if _, ok := last[pred]; !ok {
 			last[pred] = 0
-		}
-	}
-	if me.symEligible(c) {
-		if handled, err := me.evalSymDelta(c, last, now); handled {
-			if err != nil {
-				return err
-			}
-			for pred, mk := range now {
-				last[pred] = mk
-			}
-			return nil
 		}
 	}
 	emit := func(f Fact) bool {

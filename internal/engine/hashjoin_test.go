@@ -56,8 +56,7 @@ func TestHashJoinDifferentialRandom(t *testing.T) {
 }
 
 // TestHashJoinDifferentialOrderedSearch covers the Ordered Search fixpoint:
-// hash-marked scans run under the context discipline too (only the
-// symmetric fast path is gated off there).
+// hash-marked scans run under the context discipline too.
 func TestHashJoinDifferentialOrderedSearch(t *testing.T) {
 	src := workload.WinGameMoves(18, 2, 3, 7) + workload.WinModule("@ordered_search.")
 	run := func(hash bool) []string {
@@ -157,11 +156,46 @@ end_module.
 	}
 }
 
-// TestSymmetricDeltaPath pins the symmetric fast path: a doubly recursive
-// rule evaluated under sequential BSN must route through evalSymDelta
+// TestHashJoinAllocs is the deterministic allocation gate behind the sym
+// arm of BenchmarkE21HashJoin: on the doubly recursive closure, evaluating
+// with hash joins on must allocate no more than nested loops. Each run
+// loads a fresh System and drains p/2 all-free under sequential BSN, so
+// the count is the benchmark's allocs/op.
+func TestHashJoinAllocs(t *testing.T) {
+	src := workload.RandomGraph(48, 320, 11) + `
+module m.
+export p(ff).
+@rewrite none.
+@no_indexing.
+p(X, Y) :- edge(X, Y).
+p(X, Y) :- p(X, Z), p(Z, Y).
+end_module.
+`
+	allocs := func(hash bool) float64 {
+		return testing.AllocsPerRun(2, func() {
+			sys, err := LoadSystem(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys.Parallelism = 1
+			sys.HashJoins = hash
+			if _, err := drainCall(sys, "p", 2, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	off, on := allocs(false), allocs(true)
+	t.Logf("allocs per evaluation: %.0f hash on, %.0f hash off", on, off)
+	if on > off {
+		t.Errorf("hash joins allocate more than nested loops: %.0f on vs %.0f off", on, off)
+	}
+}
+
+// TestDoublyRecursiveHashDifferential covers a rule with two recursive
+// literals: both delta versions run through the planner's hash marks
 // (probes counted), produce byte-identical answers to nested loops, and
-// agree with the parallel rounds, which use the generic per-version path.
-func TestSymmetricDeltaPath(t *testing.T) {
+// agree between sequential BSN and the parallel rounds.
+func TestDoublyRecursiveHashDifferential(t *testing.T) {
 	src := workload.RandomGraph(12, 30, 3) + `
 module m.
 export p(ff).
@@ -173,7 +207,7 @@ end_module.
 	off := hashMeasure(t, src, "p", 1, false)
 	on := hashMeasure(t, src, "p", 1, true)
 	if on.Answers != off.Answers {
-		t.Fatalf("sym path changed the answer count: on %d, off %d", on.Answers, off.Answers)
+		t.Fatalf("hash joins changed the answer count: on %d, off %d", on.Answers, off.Answers)
 	}
 	if on.HashJoinProbes == 0 {
 		t.Fatal("doubly recursive rule never took a hash path")
@@ -181,7 +215,7 @@ end_module.
 	base := hashRun(t, src, "p", 2, 1, false)
 	for _, par := range []int{1, 4} {
 		if got := hashRun(t, src, "p", 2, par, true); !sameStrings(base, got) {
-			t.Errorf("par %d: sym path changed the answers\noff: %v\non:  %v", par, base, got)
+			t.Errorf("par %d: hash joins changed the answers\noff: %v\non:  %v", par, base, got)
 		}
 	}
 }
@@ -212,7 +246,7 @@ end_module.
 }
 
 // TestHashJoinBudgetAbort aborts evaluations mid-hash-join — during table
-// builds (poll per fact) and during sym-path inserts (fact budget) — and
+// builds (poll per fact) and during head inserts (fact budget) — and
 // checks the abort is a clean *AbortError, no goroutine outlives it, and
 // the System recovers to byte-identical answers once the budget is lifted.
 func TestHashJoinBudgetAbort(t *testing.T) {

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 
@@ -53,11 +54,9 @@ type System struct {
 	// HashJoins enables hash-join access paths (hashjoin.go), on by
 	// default: the planner serves repeated probes of a body literal from a
 	// transient build table pre-sized from live statistics instead of
-	// per-probe index lookups, and two-literal recursive rules take a
-	// symmetric positional fast path whose delta versions probe build
-	// tables over each other's ranges. The classic build/probe form
-	// additionally requires JoinPlanning (the planner places the marks).
-	// On and off produce identical answer sets, byte for byte.
+	// per-probe index lookups. It additionally requires JoinPlanning (the
+	// planner places the marks). On and off produce identical answer sets,
+	// byte for byte.
 	// unguarded: configuration, set before concurrent use.
 	HashJoins bool
 	// FlowOptimization enables the optimizations fed by the whole-program
@@ -168,11 +167,68 @@ func (sys *System) Bases(fn func(ast.PredKey, relation.Relation)) {
 	}
 }
 
+// Checkpoint is a rollback point over the registry: the base relations,
+// modules and exports registered when it was taken, plus every hash base
+// relation's extent. Restore returns the system to it.
+type Checkpoint struct {
+	base    map[ast.PredKey]relation.Relation
+	marks   map[ast.PredKey]relation.Mark
+	exports map[ast.PredKey]*ModuleDef
+	modules map[string]*ModuleDef
+}
+
+// Checkpoint captures the registry and the hash base relations' extents —
+// the rollback point of one load (the coral server takes it under its
+// epoch write lock, before consulting the program).
+func (sys *System) Checkpoint() *Checkpoint {
+	sys.mu.RLock()
+	defer sys.mu.RUnlock()
+	cp := &Checkpoint{
+		base:    maps.Clone(sys.base),
+		marks:   make(map[ast.PredKey]relation.Mark),
+		exports: maps.Clone(sys.exports),
+		modules: maps.Clone(sys.modules),
+	}
+	for key, r := range sys.base {
+		if hr, ok := r.(*relation.HashRelation); ok {
+			cp.marks[key] = hr.Snapshot()
+		}
+	}
+	return cp
+}
+
+// Restore rolls the system back to cp: base relations, modules and exports
+// registered since are dropped, and every surviving hash base relation is
+// truncated back to its mark (the truncation bumps its mutation counter,
+// so open snapshots over it report invalid). Save-module state of the
+// surviving modules is discarded, since it may hold derivations from
+// rolled-back facts; the next call re-derives it. Two things are not
+// undone: deletions below a mark (TruncateTo rolls back insertions only)
+// and indexes created on relations that predate cp. The caller must fence
+// every evaluation out while it restores.
+func (sys *System) Restore(cp *Checkpoint) {
+	sys.mu.Lock()
+	defer sys.mu.Unlock()
+	sys.base = maps.Clone(cp.base)
+	sys.exports = maps.Clone(cp.exports)
+	sys.modules = maps.Clone(cp.modules)
+	for key, mk := range cp.marks {
+		if hr := sys.base[key].(*relation.HashRelation); hr.Snapshot() > mk {
+			hr.TruncateTo(mk)
+		}
+	}
+	for _, def := range sys.modules {
+		def.savedMu.Lock()
+		clear(def.saved)
+		def.savedMu.Unlock()
+	}
+}
+
 // ModuleDef is an installed module: the source plus compiled programs per
 // query form, and the save-module state (paper §5.4.2).
 type ModuleDef struct {
 	Src *ast.Module // unguarded: immutable after install
-	sys *System    // unguarded: immutable after install
+	sys *System     // unguarded: immutable after install
 
 	// mu guards the lazily grown caches below (progs, staticEst): module
 	// calls from concurrent read-only evaluations (View) compile

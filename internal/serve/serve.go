@@ -8,8 +8,8 @@
 // query evaluates under the guard's read side with a connection-scoped
 // context and budget (request cancel → evaluation abort); a load takes the
 // write side, which drains in-flight readers before any relation mutates,
-// and rolls the database back to its pre-load marks if the program fails
-// half-way. Sessions opened with snapshot isolation additionally pin every
+// and rolls the system back to its pre-load checkpoint (engine
+// System.Restore) if the program fails half-way. Sessions opened with snapshot isolation additionally pin every
 // base relation to its extent at open time, so a long-lived reader sees one
 // consistent state across queries no matter how many loads commit in
 // between.
@@ -26,8 +26,6 @@ import (
 	"time"
 
 	"coral"
-	"coral/internal/ast"
-	"coral/internal/relation"
 )
 
 // Options configures a Server.
@@ -215,7 +213,7 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	// Writer side of the epoch guard: waits for in-flight queries to
 	// drain, and fences new ones until the load commits or rolls back.
 	s.epoch.Lock()
-	marks := baseMarks(s.sys)
+	cp := s.sys.Engine().Checkpoint()
 	// Inline "?- ..." queries in the program evaluate on the system itself,
 	// so they run under the server's default budget — a runaway inline
 	// query must abort (and roll the load back), not hang the write lock
@@ -226,12 +224,13 @@ func (s *Server) handleLoad(w http.ResponseWriter, r *http.Request) {
 	results, err := s.sys.Consult(req.Program)
 	s.sys.SetBudget(prevBudget)
 	if err != nil {
-		// A half-applied load must not leak torn state into readers: every
-		// base relation is truncated back to its pre-load mark (relations
-		// the load created go back to empty). The truncation bumps the
-		// mutation counters, so open snapshot sessions report invalid
-		// instead of silently reading a state that never existed.
-		rollbackTo(s.sys, marks)
+		// A half-applied load must not leak torn state into readers: the
+		// modules, exports and base relations it registered are dropped,
+		// and every other base relation is truncated back to its pre-load
+		// mark. The truncation bumps the mutation counters, so open
+		// snapshot sessions report invalid instead of silently reading a
+		// state that never existed.
+		s.sys.Engine().Restore(cp)
 		s.epoch.Unlock()
 		var ab *coral.AbortError
 		if errors.As(err, &ab) {
@@ -396,34 +395,3 @@ func statsJSON(st coral.RunStats) RunStats {
 		FactsStored:    st.FactsStored,
 	}
 }
-
-// baseMarks snapshots every hash base relation's extent — the rollback
-// point of one load.
-func baseMarks(sys *coral.System) map[ast.PredKey]relation.Mark {
-	marks := make(map[ast.PredKey]relation.Mark)
-	sys.Engine().Bases(func(key ast.PredKey, r relation.Relation) {
-		if hr, ok := r.(*relation.HashRelation); ok {
-			marks[key] = hr.Snapshot()
-		}
-	})
-	return marks
-}
-
-// rollbackTo truncates every hash base relation back to its pre-load mark;
-// relations the failed load created (absent from marks) go back to empty.
-func rollbackTo(sys *coral.System, marks map[ast.PredKey]relation.Mark) {
-	sys.Engine().Bases(func(key ast.PredKey, r relation.Relation) {
-		hr, ok := r.(*relation.HashRelation)
-		if !ok {
-			return
-		}
-		mk, had := marks[key]
-		if !had {
-			mk = 0
-		}
-		if hr.Snapshot() > mk {
-			hr.TruncateTo(mk)
-		}
-	})
-}
-

@@ -180,6 +180,67 @@ func TestLoadCommitAndRollback(t *testing.T) {
 	}
 }
 
+// TestFailedLoadRollsBackCatalogue: a load that installs a module and
+// creates a base relation, then aborts in an inline query, must leave no
+// trace — the module's exports and an earlier save module answer as on a
+// server that never saw the load, and a later load may define the
+// relation's name.
+func TestFailedLoadRollsBackCatalogue(t *testing.T) {
+	opts := Options{DefaultBudget: coral.Budget{MaxFacts: 1000}}
+	src := testProgram + `
+module saved.
+export sreach(bf).
+@save_module.
+sreach(X, Y) :- edge(X, Y).
+sreach(X, Y) :- edge(X, Z), sreach(Z, Y).
+end_module.
+`
+	_, ts := newTestServer(t, src, opts)
+	_, fresh := newTestServer(t, src, opts)
+
+	// The inline sreach query succeeds and accumulates save-module state
+	// over the load's edge(d, x) before up(X) runs away.
+	failed := `edge(d, x).
+s(1).
+module m.
+export q(f).
+export up(f).
+q(X) :- edge(X, Y).
+up(0).
+up(Y) :- up(X), Y = X + 1.
+end_module.
+?- sreach(a, Y).
+?- up(X).`
+	var e ErrorResponse
+	if code := post(t, ts.URL+"/load", LoadRequest{Program: failed}, &e); code != http.StatusRequestTimeout || e.Kind != "abort" {
+		t.Fatalf("runaway load: HTTP %d kind %q, want 408 abort", code, e.Kind)
+	}
+
+	for _, q := range []string{"q(X)", "path(a, X)", "sreach(a, Y)"} {
+		gotCode, gotErr := queryErr(t, ts.URL, q, "")
+		wantCode, wantErr := queryErr(t, fresh.URL, q, "")
+		if gotCode != wantCode || gotErr.Kind != wantErr.Kind {
+			t.Errorf("%s after rollback: HTTP %d kind %q, want HTTP %d kind %q as on a fresh server",
+				q, gotCode, gotErr.Kind, wantCode, wantErr.Kind)
+		}
+		if gotCode == http.StatusOK {
+			got, want := query(t, ts.URL, q, ""), query(t, fresh.URL, q, "")
+			if fmt.Sprint(got.Tuples) != fmt.Sprint(want.Tuples) {
+				t.Errorf("%s after rollback: %v, want %v as on a fresh server", q, got.Tuples, want.Tuples)
+			}
+		}
+	}
+
+	// The failed load created base relation s; the rollback dropped it, so
+	// a module may now export s.
+	if code := post(t, ts.URL+"/load", LoadRequest{Program: "module m2.\nexport s(f).\ns(2).\nend_module."}, &e); code != http.StatusOK {
+		t.Fatalf("load exporting s after rollback: HTTP %d %q", code, e.Error)
+	}
+	if got := query(t, ts.URL, "s(X)", ""); len(got.Tuples) != 1 {
+		t.Errorf("s(X) = %v, want the one exported answer", got.Tuples)
+	}
+}
+
 func TestSessionLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, testProgram, Options{})
 	var sr SessionResponse

@@ -1,6 +1,6 @@
 // Package engine is a lint fixture: the budgetpoll analyzer only fires
-// on the engine package, where budgetGuard lives. Exactly two loops below
-// violate the rule (a raw unpolled drain and an unhooked pipeline drain);
+// on the engine package, where budgetGuard lives. Exactly three loops
+// below violate the rule (a raw unpolled drain and two pipeline drains);
 // the rest exercise the accepted shapes.
 package engine
 
@@ -68,8 +68,8 @@ func closureScan(it iter) func() bool {
 	return step
 }
 
-// pipeSrc and pipeStage model the streaming operator layer (operator.go):
-// a source that runs a poll hook per tuple and a stage that wraps it.
+// pipeSrc and pipeStage model a composed operator pipeline: a source that
+// runs a poll hook per tuple and a stage that wraps it.
 type pipeSrc struct{ poll func() }
 
 func (s *pipeSrc) Next() (int, bool) { s.poll(); return 0, false }
@@ -78,10 +78,10 @@ type pipeStage struct{ in *pipeSrc }
 
 func (p *pipeStage) Next() (int, bool) { return p.in.Next() }
 
-// drainHookedPipeline is the sanctioned pipeline shape: the drained
-// identifier traces through the function's assignments to a construction
-// carrying the guard's poll hook, so the drain itself needs no poll —
-// every tuple it yields already passed the source's check.
+// drainHookedPipeline is the second seeded violation: the pipeline's source
+// carries the guard's poll hook, but the rule looks only at the drain loop
+// itself, so a drain without its own poll (or a bounded-scan annotation) is
+// flagged however the pipeline was built.
 func drainHookedPipeline(g guard) int {
 	scan := &pipeSrc{poll: g.pollBudget}
 	proj := &pipeStage{in: scan}
@@ -95,9 +95,9 @@ func drainHookedPipeline(g guard) int {
 	}
 }
 
-// drainUnhookedPipeline is the second seeded violation: the pipeline was
-// composed without any poll hook (a nil-keyed literal is not evidence), so
-// draining it is as unbounded as a raw iterator scan.
+// drainUnhookedPipeline is the third seeded violation: the pipeline was
+// composed without any poll hook, so draining it is as unbounded as a raw
+// iterator scan.
 func drainUnhookedPipeline() int {
 	scan := &pipeSrc{poll: nil}
 	proj := &pipeStage{in: scan}
