@@ -6,7 +6,7 @@
 // Usage:
 //
 //	corald [-addr :7690] [-timeout 10s] [-max-facts N] [-max-iters N]
-//	       [-query-timeout 30s] [-parallelism N] program.crl ...
+//	       [-query-timeout 30s] program.crl ...
 //
 // Endpoints (see internal/serve):
 //
@@ -33,17 +33,33 @@ import (
 	"coral/internal/serve"
 )
 
+// Connection bounds: a client that trickles its request headers, or parks
+// an idle keep-alive connection, holds a connection and a goroutine only
+// this long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the listening server with the connection bounds set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":7690", "listen address")
 	timeout := flag.Duration("timeout", 0, "default per-query evaluation budget (0 = unlimited)")
 	maxFacts := flag.Int("max-facts", 0, "default per-query derived-fact budget (0 = unlimited)")
 	maxIters := flag.Int("max-iters", 0, "default per-query iteration budget (0 = unlimited)")
 	queryTimeout := flag.Duration("query-timeout", 0, "hard per-request wall-clock cap via context (0 = none)")
-	parallelism := flag.Int("parallelism", 0, "fixpoint worker bound (0 = all cores, 1 = sequential)")
 	flag.Parse()
 
 	sys := coral.New()
-	sys.SetParallelism(*parallelism)
 	for _, path := range flag.Args() {
 		if _, err := sys.ConsultFile(path); err != nil {
 			fmt.Fprintf(os.Stderr, "corald: %v\n", err)
@@ -60,7 +76,7 @@ func main() {
 		},
 		QueryTimeout: *queryTimeout,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

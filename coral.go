@@ -51,14 +51,6 @@ func New() *System {
 	return &System{eng: engine.NewSystem()}
 }
 
-// SetParallelism bounds the number of worker goroutines a materialized
-// fixpoint round may use. The default (0) uses every available core; 1
-// forces sequential evaluation. Evaluations that are inherently sequential
-// — Ordered Search, tracing, aggregate selections, pipelined modules,
-// module-call or computed body sources — are unaffected. Parallel and
-// sequential evaluation produce identical answers in identical order.
-func (s *System) SetParallelism(n int) { s.eng.Parallelism = n }
-
 // SetJoinPlanning toggles the cost-based join planner (on by default): per
 // rule version the engine reorders body literals greedily by estimated
 // intermediate size, using live relation statistics, while builtins and

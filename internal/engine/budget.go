@@ -3,23 +3,21 @@ package engine
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"time"
 )
 
 // Query cancellation and resource budgets. CORAL is an interactive system
 // (paper §2): ad-hoc queries over recursive programs may have huge or
-// non-terminating fixpoints, so every evaluation mode — the sequential and
-// parallel semi-naive fixpoints, Ordered Search, and pipelining — runs under
-// an optional budgetGuard threaded from System.Ctx/System.Budget.
+// non-terminating fixpoints, so every evaluation mode — the semi-naive
+// fixpoints, Ordered Search, and pipelining — runs under an optional
+// budgetGuard threaded from System.Ctx/System.Budget.
 //
 // Check placement (DESIGN.md §5.11): the context and deadline are checked at
 // every round barrier (matEval.step) and, amortized every budgetCheckEvery
 // tuples, inside the join loop and the pipelined iterators, so a single
 // runaway rule application cannot outlive its deadline by more than one poll
-// interval. The fact budget is charged on every accepted derived-fact insert
-// (shared atomically with parallel workers, which charge their buffered
-// emits); the iteration budget is checked at the round barrier only.
+// interval. The fact budget is charged on every accepted derived-fact insert;
+// the iteration budget is checked at the round barrier only.
 
 // Budget bounds the work one evaluated call may perform. The zero value is
 // unlimited; each field is independent and zero disables that bound.
@@ -28,9 +26,7 @@ type Budget struct {
 	// the call starts (ModuleDef.Call, System.Query, or a pipelined call).
 	Timeout time.Duration
 	// MaxFacts bounds the number of derived facts the call may store
-	// (including magic and supplementary facts). Parallel workers charge
-	// their buffered derivations against the same counter, so the bound may
-	// overshoot by at most one merge round.
+	// (including magic and supplementary facts).
 	MaxFacts int
 	// MaxIterations bounds fixpoint iterations (round barriers crossed).
 	MaxIterations int
@@ -53,8 +49,8 @@ const (
 // the partial RunStats at the moment of the abort. The System remains
 // consistent after an abort — the aborted evaluation's private relations are
 // discarded (save-module state is invalidated and rebuilt on the next call),
-// partially applied rounds are rolled back, and worker pools are drained —
-// so follow-up queries run normally.
+// and partially applied rounds are rolled back — so follow-up queries run
+// normally.
 type AbortError struct {
 	// Tripped is one of the Abort* constants.
 	Tripped string
@@ -87,6 +83,18 @@ func (e *AbortError) Error() string {
 	return "engine: evaluation aborted"
 }
 
+// withAbortStats fills an abort's still-empty Stats with st and returns
+// err. Evaluations fill it where they fail (matEval.fail); the top-level
+// query entry points fill it for aborts their own guard throws, which
+// never pass through a matEval.
+func withAbortStats(err error, st RunStats) error {
+	var ab *AbortError
+	if errors.As(err, &ab) && ab.Stats == (RunStats{}) {
+		ab.Stats = st
+	}
+	return err
+}
+
 // Unwrap exposes the underlying cause (the context error, when the abort
 // came from context cancellation), so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) work as expected.
@@ -102,9 +110,7 @@ var budgetCheckEvery = 256
 // the deadline is anchored at call time and the fact counter starts at
 // zero. It is embedded by value in matEval and pipeEval — a call without
 // budgets pays no allocation and (in the join loop) a single nil check per
-// tuple. The facts counter is a plain int64 manipulated with sync/atomic
-// functions so the struct stays copyable at initialization time; after
-// workers are handed a pointer it must not be copied.
+// tuple. A guard is confined to its call's goroutine.
 type budgetGuard struct {
 	on          bool
 	ctx         context.Context
@@ -112,7 +118,7 @@ type budgetGuard struct {
 	deadline    time.Time
 	maxFacts    int64
 	maxIters    int
-	facts       int64 // accessed atomically (shared with parallel workers)
+	facts       int64
 }
 
 // newGuard captures the system's context and budget for one call.
@@ -148,7 +154,7 @@ func (g *budgetGuard) check() error {
 	if g.hasDeadline && time.Now().After(g.deadline) {
 		return &AbortError{Tripped: AbortDeadline, cause: context.DeadlineExceeded}
 	}
-	if g.maxFacts > 0 && atomic.LoadInt64(&g.facts) > g.maxFacts {
+	if g.maxFacts > 0 && g.facts > g.maxFacts {
 		return &AbortError{Tripped: AbortFacts}
 	}
 	return nil
@@ -176,19 +182,20 @@ func (g *budgetGuard) poll() {
 }
 
 // addFact charges one accepted derived fact and reports the abort once the
-// budget is exceeded. Safe to call from parallel workers.
+// budget is exceeded.
 func (g *budgetGuard) addFact() error {
 	if !g.active() || g.maxFacts <= 0 {
 		return nil
 	}
-	if atomic.AddInt64(&g.facts, 1) > g.maxFacts {
+	g.facts++
+	if g.facts > g.maxFacts {
 		return &AbortError{Tripped: AbortFacts}
 	}
 	return nil
 }
 
 // noteFact is addFact throwing through the panic channel — the form the
-// sequential insert path uses from inside recovered rule evaluations.
+// insert path uses from inside recovered rule evaluations.
 func (g *budgetGuard) noteFact() {
 	if err := g.addFact(); err != nil {
 		Throw(err)

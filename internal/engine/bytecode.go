@@ -559,35 +559,30 @@ func (ev *evaluator) bcPattern(p *bcProg, it *bcItem, fr *bcFrame) []term.Term {
 	return fr.pat
 }
 
-// bcOpenScan opens the scan for the relation item scheduled at body
-// position pos, mirroring lookupFor: split ranges, hash-marked build
-// tables (shared with the interpreter's cache — same keys, same bounds),
-// and the semi-naive range discipline keyed on the written occurrence.
-func (ev *evaluator) bcOpenScan(p *bcProg, it *bcItem, pos int, rr ruleRanges, fr *bcFrame) {
+// bcOpenScan opens the scan for a relation item, mirroring lookupFor:
+// hash-marked build tables (shared with the interpreter's cache — same
+// keys, same bounds), and the semi-naive range discipline keyed on the
+// written occurrence.
+func (ev *evaluator) bcOpenScan(p *bcProg, it *bcItem, rr ruleRanges, fr *bcFrame) {
 	pat := ev.bcPattern(p, it, fr)
 	fr.active = pat
 	env := term.EmptyEnv()
 	ci := it.src
-	if sp := rr.Split; sp != nil && pos == sp.Pos {
-		fr.iter = fr.src.LookupRange(pat, env, sp.From, sp.To)
-		return
-	}
 	if ci.HashKeyPos != nil {
 		from, to := scanBounds(ci, rr, fr.src)
-		if bt := ev.tableFor(ci, fr.hr, from, to); bt != nil {
-			ev.HashProbes++
-			m := &ev.bc
-			if cap(m.keys) < len(ci.HashKeyPos) {
-				m.keys = make([]term.Term, len(ci.HashKeyPos))
-			}
-			m.keys = m.keys[:len(ci.HashKeyPos)]
-			for k, kp := range ci.HashKeyPos {
-				m.keys[k] = pat[kp]
-			}
-			bt.tab.ProbeValues(m.keys, &fr.probe)
-			fr.iter = &fr.probe
-			return
+		bt := ev.tableFor(ci, fr.hr, from, to)
+		ev.HashProbes++
+		m := &ev.bc
+		if cap(m.keys) < len(ci.HashKeyPos) {
+			m.keys = make([]term.Term, len(ci.HashKeyPos))
 		}
+		m.keys = m.keys[:len(ci.HashKeyPos)]
+		for k, kp := range ci.HashKeyPos {
+			m.keys[k] = pat[kp]
+		}
+		bt.tab.ProbeValues(m.keys, &fr.probe)
+		fr.iter = &fr.probe
+		return
 	}
 	if !ci.Recursive || rr.DeltaPos < 0 {
 		fr.iter = fr.src.Lookup(pat, env)
@@ -666,12 +661,7 @@ func (ev *evaluator) runBC(p *bcProg, rr ruleRanges, emit emitFunc) (handled boo
 			if hr == nil {
 				return false
 			}
-			var from, to relation.Mark
-			if sp := rr.Split; sp != nil && i == sp.Pos {
-				from, to = sp.From, sp.To
-			} else {
-				from, to = scanBounds(it.src, rr, src)
-			}
+			from, to := scanBounds(it.src, rr, src)
 			if hr.NonGroundWithin(from, to) {
 				return false
 			}
@@ -770,7 +760,7 @@ func (ev *evaluator) runBC(p *bcProg, rr ruleRanges, emit emitFunc) (handled boo
 			i = backtrack(i, false)
 		case ItemRel:
 			if fr.iter == nil {
-				ev.bcOpenScan(p, it, i, rr, fr)
+				ev.bcOpenScan(p, it, rr, fr)
 				fr.any = false
 			}
 			advanced := false

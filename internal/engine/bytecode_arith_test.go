@@ -60,8 +60,8 @@ end_module.
 // addition, the atom ordering — so a silently-empty differential cannot
 // pass.
 func TestBytecodeArithEdgeCases(t *testing.T) {
-	off := bcRun(t, bcEdgeSrc, "r", 2, 1, false)
-	on := bcRun(t, bcEdgeSrc, "r", 2, 1, true)
+	off := bcRun(t, bcEdgeSrc, "r", 2, false)
+	on := bcRun(t, bcEdgeSrc, "r", 2, true)
 	if !sameStrings(off, on) {
 		t.Fatalf("bytecode changed the answers\noff: %v\non:  %v", off, on)
 	}

@@ -14,23 +14,21 @@ import (
 // of pred/arity in evaluation order. The bytecode machine mirrors the
 // nested-loops interpreter frame for frame, so on and off must agree byte
 // for byte — same answers, same positions.
-func bcRun(t *testing.T, src, pred string, arity, parallelism int, bc bool) []string {
+func bcRun(t *testing.T, src, pred string, arity int, bc bool) []string {
 	t.Helper()
 	sys, err := LoadSystem(src)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.Parallelism = parallelism
 	sys.Bytecode = bc
 	return answersInOrder(t, sys, pred, arity)
 }
 
 // TestBytecodeDifferentialRandom is the bytecode differential property
 // test: on seeded random mutually recursive programs — across fixpoint
-// strategies (BSN, PSN, naive), with and without magic rewriting,
-// sequentially and in parallel — compiling rule bodies to register
-// bytecode must not change a single answer or its position. CI runs this
-// package under -race -cpu=1,4.
+// strategies (BSN, PSN, naive), with and without magic rewriting —
+// compiling rule bodies to register bytecode must not change a single
+// answer or its position. CI runs this package under -race -cpu=1,4.
 func TestBytecodeDifferentialRandom(t *testing.T) {
 	strategies := []string{"", "@psn.\n", "@naive.\n"}
 	for seed := int64(0); seed < 8; seed++ {
@@ -38,16 +36,13 @@ func TestBytecodeDifferentialRandom(t *testing.T) {
 		for _, strat := range strategies {
 			for _, rewrite := range []string{"@rewrite none.\n", ""} {
 				src := facts + workload.RandomDatalogModule(seed, rewrite+strat)
-				base := bcRun(t, src, "p0", 2, 1, false)
+				base := bcRun(t, src, "p0", 2, false)
 				if len(base) == 0 {
 					t.Fatalf("seed %d %q: differential program produced no answers", seed, rewrite+strat)
 				}
-				for _, par := range []int{1, 4} {
-					got := bcRun(t, src, "p0", 2, par, true)
-					if !sameStrings(base, got) {
-						t.Errorf("seed %d %q par %d: bytecode changed the answers\noff: %v\non:  %v",
-							seed, rewrite+strat, par, base, got)
-					}
+				if got := bcRun(t, src, "p0", 2, true); !sameStrings(base, got) {
+					t.Errorf("seed %d %q: bytecode changed the answers\noff: %v\non:  %v",
+						seed, rewrite+strat, base, got)
 				}
 			}
 		}
@@ -93,11 +88,11 @@ func TestBytecodeDifferentialOrderedSearch(t *testing.T) {
 // never routes through evalRule: the toggle must not disturb its answers.
 func TestBytecodeDifferentialPipelined(t *testing.T) {
 	src := workload.Chain(24) + workload.TCModule("@pipelining.")
-	base := bcRun(t, src, "tc", 2, 1, false)
+	base := bcRun(t, src, "tc", 2, false)
 	if len(base) == 0 {
 		t.Fatal("pipelined program produced no answers")
 	}
-	if got := bcRun(t, src, "tc", 2, 1, true); !sameStrings(base, got) {
+	if got := bcRun(t, src, "tc", 2, true); !sameStrings(base, got) {
 		t.Errorf("bytecode changed the pipelined answers\noff: %v\non:  %v", base, got)
 	}
 }
@@ -117,11 +112,11 @@ dist(Y, C) :- dist(X, C1), edge(X, Y, C2), C = C1 + C2, C < 40.
 best(X, C) :- dist(X, C).
 end_module.
 `
-	base := bcRun(t, src, "best", 2, 1, false)
+	base := bcRun(t, src, "best", 2, false)
 	if len(base) == 0 {
 		t.Fatal("aggregate-selection program produced no answers")
 	}
-	if got := bcRun(t, src, "best", 2, 1, true); !sameStrings(base, got) {
+	if got := bcRun(t, src, "best", 2, true); !sameStrings(base, got) {
 		t.Errorf("bytecode changed the arithmetic answers\noff: %v\non:  %v", base, got)
 	}
 }
@@ -173,8 +168,6 @@ end_module.
 func TestBytecodeBudgetAbort(t *testing.T) {
 	defer func(old int) { budgetCheckEvery = old }(budgetCheckEvery)
 	budgetCheckEvery = 1
-	defer func(old int) { parMinChunk = old }(parMinChunk)
-	parMinChunk = 4
 	src := workload.RandomGraph(12, 36, 5) + `
 module m.
 export p(ff).
@@ -183,55 +176,51 @@ p(X, Y) :- edge(X, Y).
 p(X, Y) :- p(X, Z), edge(Z, Y).
 end_module.
 `
-	for _, par := range []int{1, 4} {
-		fresh, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh.Parallelism = par
-		want, err := drainCall(fresh, "p", 2, nil)
-		if err != nil {
-			t.Fatalf("reference run: %v", err)
-		}
-		base := runtime.NumGoroutine()
-		aborts := 0
-		for k := 1; k <= 25; k += 3 {
-			for _, inject := range []string{"ctx", "facts"} {
-				sys, err := LoadSystem(src)
-				if err != nil {
-					t.Fatal(err)
+	fresh, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drainCall(fresh, "p", 2, nil)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	base := runtime.NumGoroutine()
+	aborts := 0
+	for k := 1; k <= 25; k += 3 {
+		for _, inject := range []string{"ctx", "facts"} {
+			sys, err := LoadSystem(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch inject {
+			case "ctx":
+				sys.Ctx = &countdownCtx{left: int64(k)}
+			case "facts":
+				sys.Budget = Budget{MaxFacts: k}
+			}
+			got, err := drainCall(sys, "p", 2, nil)
+			if err != nil {
+				var ab *AbortError
+				if !errors.As(err, &ab) {
+					t.Fatalf("%s k=%d: abort is not *AbortError: %v", inject, k, err)
 				}
-				sys.Parallelism = par
-				switch inject {
-				case "ctx":
-					sys.Ctx = &countdownCtx{left: int64(k)}
-				case "facts":
-					sys.Budget = Budget{MaxFacts: k}
-				}
-				got, err := drainCall(sys, "p", 2, nil)
-				if err != nil {
-					var ab *AbortError
-					if !errors.As(err, &ab) {
-						t.Fatalf("par %d %s k=%d: abort is not *AbortError: %v", par, inject, k, err)
-					}
-					aborts++
-				} else if !sameStrings(got, want) {
-					t.Fatalf("par %d %s k=%d: uncanceled run diverged", par, inject, k)
-				}
-				sys.Ctx = nil
-				sys.Budget = Budget{}
-				rerun, err := drainCall(sys, "p", 2, nil)
-				if err != nil {
-					t.Fatalf("par %d %s k=%d: re-run after abort failed: %v", par, inject, k, err)
-				}
-				if !sameStrings(rerun, want) {
-					t.Fatalf("par %d %s k=%d: re-run diverges from fresh System", par, inject, k)
-				}
+				aborts++
+			} else if !sameStrings(got, want) {
+				t.Fatalf("%s k=%d: uncanceled run diverged", inject, k)
+			}
+			sys.Ctx = nil
+			sys.Budget = Budget{}
+			rerun, err := drainCall(sys, "p", 2, nil)
+			if err != nil {
+				t.Fatalf("%s k=%d: re-run after abort failed: %v", inject, k, err)
+			}
+			if !sameStrings(rerun, want) {
+				t.Fatalf("%s k=%d: re-run diverges from fresh System", inject, k)
 			}
 		}
-		if aborts == 0 {
-			t.Fatal("sweep never tripped an abort through the bytecode path")
-		}
-		assertNoGoroutineLeak(t, base)
 	}
+	if aborts == 0 {
+		t.Fatal("sweep never tripped an abort through the bytecode path")
+	}
+	assertNoGoroutineLeak(t, base)
 }

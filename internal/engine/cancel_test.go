@@ -79,8 +79,8 @@ func queryOrdered(sys *System, q string) ([]string, error) {
 }
 
 // assertNoGoroutineLeak waits for the goroutine count to return to the
-// baseline taken before the aborted evaluations. Worker pools always join
-// at the round barrier, so any sustained excess is a leak.
+// baseline taken before the aborted evaluations. Evaluation runs on the
+// caller's goroutine, so any sustained excess is a leak.
 func assertNoGoroutineLeak(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
@@ -98,54 +98,43 @@ func assertNoGoroutineLeak(t *testing.T, base int) {
 	}
 }
 
-// cancelMode is one evaluation strategy under fault injection: a program,
-// the exported predicate to drain, and the parallelism to request.
+// cancelMode is one evaluation strategy under fault injection: a program
+// and the exported predicate to drain.
 type cancelMode struct {
-	name        string
-	src         string
-	pred        string
-	arity       int
-	args        []term.Term
-	parallelism int
+	name  string
+	src   string
+	pred  string
+	arity int
+	args  []term.Term
 }
 
 func cancelModes() []cancelMode {
 	return []cancelMode{
 		{
-			name:        "sequential",
-			src:         workload.RandomGraph(12, 36, 5) + workload.RandomDatalogModule(5, "@rewrite none."),
-			pred:        "p0",
-			arity:       2,
-			parallelism: 1,
-		},
-		{
-			name:        "parallel",
-			src:         workload.RandomGraph(12, 36, 5) + workload.RandomDatalogModule(5, "@rewrite none."),
-			pred:        "p0",
-			arity:       2,
-			parallelism: 4,
+			name:  "sequential",
+			src:   workload.RandomGraph(12, 36, 5) + workload.RandomDatalogModule(5, "@rewrite none."),
+			pred:  "p0",
+			arity: 2,
 		},
 		{
 			// Chain data keeps the pipelined top-down evaluation finite.
-			name:        "pipelined",
-			src:         workload.Chain(24) + workload.TCModule("@pipelining."),
-			pred:        "tc",
-			arity:       2,
-			parallelism: 1,
+			name:  "pipelined",
+			src:   workload.Chain(24) + workload.TCModule("@pipelining."),
+			pred:  "tc",
+			arity: 2,
 		},
 		{
-			name:        "ordered-search",
-			src:         workload.WinGameMoves(18, 2, 3, 7) + workload.WinModule("@ordered_search."),
-			pred:        "win",
-			arity:       1,
-			args:        []term.Term{term.Atom("p0")},
-			parallelism: 1,
+			name:  "ordered-search",
+			src:   workload.WinGameMoves(18, 2, 3, 7) + workload.WinModule("@ordered_search."),
+			pred:  "win",
+			arity: 1,
+			args:  []term.Term{term.Atom("p0")},
 		},
 	}
 }
 
-// TestCancelFaultInjection sweeps the abort point across sequential,
-// parallel, pipelined and Ordered Search evaluation: with budget polls
+// TestCancelFaultInjection sweeps the abort point across semi-naive,
+// pipelined and Ordered Search evaluation: with budget polls
 // forced to every tuple, cancel after the k-th poll (context injection)
 // and after the k-th derived fact (fact budget), for a sweep of k. Every
 // abort must surface as *AbortError — never a panic — leave no goroutine
@@ -155,8 +144,6 @@ func cancelModes() []cancelMode {
 func TestCancelFaultInjection(t *testing.T) {
 	defer func(old int) { budgetCheckEvery = old }(budgetCheckEvery)
 	budgetCheckEvery = 1
-	defer func(old int) { parMinChunk = old }(parMinChunk)
-	parMinChunk = 4
 
 	for _, m := range cancelModes() {
 		t.Run(m.name, func(t *testing.T) {
@@ -164,7 +151,6 @@ func TestCancelFaultInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh.Parallelism = m.parallelism
 			want, err := drainCall(fresh, m.pred, m.arity, m.args)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
@@ -177,7 +163,6 @@ func TestCancelFaultInjection(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sys.Parallelism = m.parallelism
 					switch inject {
 					case "ctx":
 						sys.Ctx = &countdownCtx{left: int64(k)}
@@ -218,20 +203,15 @@ func TestCancelFaultInjection(t *testing.T) {
 
 // TestInfiniteRecursionAborts is the acceptance criterion for the budget
 // subsystem: a query with unbounded arithmetic recursion must abort within
-// 2x the configured deadline under all four evaluation modes, return
+// 2x the configured deadline under all three evaluation modes, return
 // *AbortError carrying partial RunStats, leak no goroutines, and leave the
 // System able to answer a follow-up query correctly.
 func TestInfiniteRecursionAborts(t *testing.T) {
 	const deadline = 250 * time.Millisecond
-	modes := []struct {
-		name        string
-		ann         string
-		parallelism int
-	}{
-		{"sequential-bsn", "@rewrite none.", 1},
-		{"parallel-bsn", "@rewrite none.", 4},
-		{"pipelined", "@pipelining.", 1},
-		{"ordered-search", "@ordered_search.", 1},
+	modes := []struct{ name, ann string }{
+		{"sequential-bsn", "@rewrite none."},
+		{"pipelined", "@pipelining."},
+		{"ordered-search", "@ordered_search."},
 	}
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -253,7 +233,6 @@ end_module.
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.Parallelism = m.parallelism
 			sys.Budget = Budget{Timeout: deadline}
 			base := runtime.NumGoroutine()
 			start := time.Now()
@@ -350,4 +329,48 @@ end_module.
 	if ab.Stats.Iterations == 0 || ab.Stats.Iterations > 41 {
 		t.Errorf("partial stats report %d iterations, want ~40", ab.Stats.Iterations)
 	}
+}
+
+// TestQueryAbortCarriesStats: an abort tripped by a top-level query's own
+// guard — not by a module evaluation under it — must still report the
+// work done so far. Both entry points arm that guard themselves, so the
+// abort never passes through matEval.fail; they fill the stats instead.
+func TestQueryAbortCarriesStats(t *testing.T) {
+	const src = "edge(a, b). edge(b, c). edge(c, d).\n"
+	query, err := parser.ParseQuery("edge(X, Y)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The second answer trips MaxFacts: one answer kept, two derived from
+	// two tuples considered.
+	want := RunStats{Answers: 1, Derivations: 2, Attempts: 2}
+	check := func(t *testing.T, err error) {
+		t.Helper()
+		var ab *AbortError
+		if !errors.As(err, &ab) {
+			t.Fatalf("want *AbortError, got %v", err)
+		}
+		if ab.Tripped != AbortFacts {
+			t.Errorf("Tripped = %q, want %q", ab.Tripped, AbortFacts)
+		}
+		if ab.Stats != want {
+			t.Errorf("abort stats = %+v, want %+v", ab.Stats, want)
+		}
+	}
+
+	t.Run("system", func(t *testing.T) {
+		sys := buildSystem(t, src)
+		sys.Budget = Budget{MaxFacts: 1}
+		_, _, err := sys.Query(query.Body)
+		check(t, err)
+	})
+	t.Run("view", func(t *testing.T) {
+		v := buildSystem(t, src).NewView(nil)
+		v.Budget = Budget{MaxFacts: 1}
+		_, _, stats, err := v.Query(query.Body)
+		check(t, err)
+		if stats != want {
+			t.Errorf("returned stats = %+v, want %+v", stats, want)
+		}
+	})
 }

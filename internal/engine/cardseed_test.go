@@ -18,36 +18,32 @@ import (
 // the seeder attaches per evaluation. Like planner on/off, seeding may
 // change the enumeration order (it changes the chosen plans), never the
 // answer set.
-func seedRun(t *testing.T, src, pred string, arity, parallelism int, seeding bool) []string {
+func seedRun(t *testing.T, src, pred string, arity int, seeding bool) []string {
 	t.Helper()
 	sys, err := LoadSystem(src)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.Parallelism = parallelism
 	sys.StaticSeeding = seeding
 	return answersSorted(t, sys, pred, arity)
 }
 
 // TestSeedDifferentialRandom is the seeder's differential property test:
 // on seeded random mutually recursive programs, planner cold-start seeding
-// must never change the answer set — with and without magic rewriting,
-// sequentially and in parallel. CI runs this package under -race -cpu=1,4.
+// must never change the answer set — with and without magic rewriting.
+// CI runs this package under -race -cpu=1,4.
 func TestSeedDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		facts := workload.RandomGraph(10, 25, seed)
 		for _, ann := range []string{"@rewrite none.", ""} {
 			src := facts + workload.RandomDatalogModule(seed, ann)
-			base := seedRun(t, src, "p0", 2, 1, false)
+			base := seedRun(t, src, "p0", 2, false)
 			if len(base) == 0 {
 				t.Fatalf("seed %d ann %q: differential program produced no answers", seed, ann)
 			}
-			for _, par := range []int{1, 4} {
-				got := seedRun(t, src, "p0", 2, par, true)
-				if !sameStrings(base, got) {
-					t.Errorf("seed %d ann %q par %d: static seeding changed the answer set\noff: %v\non:  %v",
-						seed, ann, par, base, got)
-				}
+			if got := seedRun(t, src, "p0", 2, true); !sameStrings(base, got) {
+				t.Errorf("seed %d ann %q: static seeding changed the answer set\noff: %v\non:  %v",
+					seed, ann, base, got)
 			}
 		}
 	}
@@ -73,27 +69,23 @@ func TestSeedDifferentialModes(t *testing.T) {
 		// terminate on an all-free transitive-closure query.
 		{"pipelined", workload.Chain(12) + workload.RightLinearTC("@pipelining."), "tc(A, B)"},
 	}
-	run := func(t *testing.T, src, query string, par int, seeding bool) []string {
+	run := func(t *testing.T, src, query string, seeding bool) []string {
 		t.Helper()
 		sys, err := LoadSystem(src)
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		sys.Parallelism = par
 		sys.StaticSeeding = seeding
 		return ask(t, sys, query)
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			off := run(t, c.src, c.query, 1, false)
+			off := run(t, c.src, c.query, false)
 			if len(off) == 0 {
 				t.Fatalf("differential program produced no answers")
 			}
-			for _, par := range []int{1, 4} {
-				on := run(t, c.src, c.query, par, true)
-				if !sameStrings(off, on) {
-					t.Errorf("par %d: static seeding changed the answer set\noff: %v\non:  %v", par, off, on)
-				}
+			if on := run(t, c.src, c.query, true); !sameStrings(off, on) {
+				t.Errorf("static seeding changed the answer set\noff: %v\non:  %v", off, on)
 			}
 		})
 	}
@@ -115,8 +107,8 @@ export q(ff).
 q(X, Y) :- edge(X, Z), edge(Z, Y), ok(Y).
 end_module.
 `
-	off := seedRun(t, src, "q", 2, 1, false)
-	on := seedRun(t, src, "q", 2, 1, true)
+	off := seedRun(t, src, "q", 2, false)
+	on := seedRun(t, src, "q", 2, true)
 	if !sameStrings(off, on) {
 		t.Errorf("module-call seeding changed the answer set\noff: %v\non:  %v", off, on)
 	}

@@ -79,8 +79,7 @@ type CItem struct {
 	// path. Set only by the join planner (plan.go) on planned clones —
 	// the positions are bound by items scheduled earlier, so a probe
 	// selects one bucket. Never set on a schedule's first relation item
-	// (nothing is bound there, and the parallel round splits that item's
-	// ordinal range across tasks).
+	// (nothing is bound there).
 	HashKeyPos []int
 }
 

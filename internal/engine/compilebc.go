@@ -24,14 +24,10 @@ import (
 const bcCacheMax = 512
 
 // bcFor returns the bytecode program for c, compiling on first use. nil
-// means ineligible — or a read-only cache miss on a parallel worker, which
-// falls back to the interpreter rather than write a shared map.
+// means ineligible.
 func (ev *evaluator) bcFor(c *Compiled) *bcProg {
 	if p, ok := ev.bcProgs[c]; ok {
 		return p
-	}
-	if ev.bcRO {
-		return nil
 	}
 	if ev.bcProgs == nil {
 		ev.bcProgs = make(map[*Compiled]*bcProg)

@@ -35,11 +35,6 @@ type matEval struct {
 	ctx      *osContext // Ordered Search context; nil otherwise
 	exitDone map[*Stratum]bool
 
-	// parallelism is the worker budget for BSN rounds (<= 1: sequential);
-	// parSafe caches the per-stratum parallel-safety analysis (parallel.go).
-	parallelism int
-	parSafe     map[*Stratum]bool
-
 	// planning enables the cost-based join planner (plan.go); plans caches
 	// fitted schedules per rule version.
 	planning bool
@@ -68,9 +63,7 @@ type matEval struct {
 
 	// Iterations counts fixpoint iterations (reported by benchmarks).
 	Iterations int
-	// ParRounds counts the BSN rounds that actually ran on the worker pool.
-	ParRounds int
-	err       error
+	err        error
 }
 
 func newMatEval(prog *Program, external func(ast.PredKey) (Source, error)) *matEval {
@@ -100,7 +93,6 @@ func (me *matEval) counters() RunStats {
 		Derivations:    me.ev.Derivations,
 		Attempts:       me.ev.Attempts,
 		Iterations:     me.Iterations,
-		ParallelRounds: me.ParRounds,
 		HashJoinBuilds: me.ev.HashBuilds,
 		HashJoinProbes: me.ev.HashProbes,
 		BytecodeRuns:   me.ev.BCRuns,
@@ -128,17 +120,7 @@ func (me *matEval) setGuard(g budgetGuard) {
 // it get" report AbortError carries.
 func (me *matEval) fail(err error) {
 	if me.err == nil {
-		var ab *AbortError
-		if errors.As(err, &ab) && ab.Stats == (RunStats{}) {
-			ab.Stats.Derivations = me.ev.Derivations
-			ab.Stats.Attempts = me.ev.Attempts
-			ab.Stats.Iterations = me.Iterations
-			ab.Stats.ParallelRounds = me.ParRounds
-			for _, rel := range me.st.local {
-				ab.Stats.FactsStored += rel.Len()
-			}
-		}
-		me.err = err
+		me.err = withAbortStats(err, me.counters())
 	}
 	me.finished = true
 }
@@ -437,13 +419,8 @@ func (me *matEval) applyRecursive(c *Compiled, now map[ast.PredKey]relation.Mark
 }
 
 // bsnIteration is one Basic Semi-Naive round: all rules see the same
-// snapshot taken at the start of the round (paper §4.2, §5.3). When the
-// stratum passes the parallel-safety analysis the round runs on the worker
-// pool instead (parallel.go); both paths produce identical relations.
+// snapshot taken at the start of the round (paper §4.2, §5.3).
 func (me *matEval) bsnIteration(st *Stratum) bool {
-	if w := me.workersFor(st); w > 1 {
-		return me.bsnParallel(st, w)
-	}
 	now := make(map[ast.PredKey]relation.Mark)
 	for _, c := range st.RecRules {
 		for _, pos := range c.RecPositions {

@@ -14,7 +14,7 @@ import (
 // place before AddModule: the per-form programs are compiled and cached
 // there, which is where pruning, magic skipping, and planner seeding
 // happen.
-func flowRun(t *testing.T, src, pred string, arity, parallelism int, flowOpt bool) []string {
+func flowRun(t *testing.T, src, pred string, arity int, flowOpt bool) []string {
 	t.Helper()
 	u, err := parser.Parse(src)
 	if err != nil {
@@ -22,7 +22,6 @@ func flowRun(t *testing.T, src, pred string, arity, parallelism int, flowOpt boo
 	}
 	sys := NewSystem()
 	sys.FlowOptimization = flowOpt
-	sys.Parallelism = parallelism
 	for _, f := range u.Facts {
 		rel, err := sys.BaseRelation(f.Pred, len(f.Args))
 		if err != nil {
@@ -41,7 +40,7 @@ func flowRun(t *testing.T, src, pred string, arity, parallelism int, flowOpt boo
 // TestFlowDifferentialRandom is the flow optimizer's differential property
 // test: on seeded random mutually recursive programs, rule pruning, magic
 // skipping and planner seeding must never change an answer set — with and
-// without magic rewriting, sequentially and in parallel. The exported p0
+// without magic rewriting. The exported p0
 // is queried all-free, so the magic-skip path (evaluate the pruned
 // original rules directly) is the common case here. CI runs this package
 // under -race -cpu=1,4.
@@ -50,16 +49,13 @@ func TestFlowDifferentialRandom(t *testing.T) {
 		facts := workload.RandomGraph(10, 25, seed)
 		for _, ann := range []string{"@rewrite none.", ""} {
 			src := facts + workload.RandomDatalogModule(seed, ann)
-			base := flowRun(t, src, "p0", 2, 1, false)
+			base := flowRun(t, src, "p0", 2, false)
 			if len(base) == 0 {
 				t.Fatalf("seed %d ann %q: differential program produced no answers", seed, ann)
 			}
-			for _, par := range []int{1, 4} {
-				got := flowRun(t, src, "p0", 2, par, true)
-				if !sameStrings(base, got) {
-					t.Errorf("seed %d ann %q par %d: flow optimization changed the answer set\noff: %v\non:  %v",
-						seed, ann, par, base, got)
-				}
+			if got := flowRun(t, src, "p0", 2, true); !sameStrings(base, got) {
+				t.Errorf("seed %d ann %q: flow optimization changed the answer set\noff: %v\non:  %v",
+					seed, ann, base, got)
 			}
 		}
 	}
@@ -84,10 +80,9 @@ end_module.
 		t.Fatalf("parse: %v", err)
 	}
 	goal := u.Queries[0].Body[0]
-	run := func(par int, flowOpt bool) []string {
+	run := func(flowOpt bool) []string {
 		sys := NewSystem()
 		sys.FlowOptimization = flowOpt
-		sys.Parallelism = par
 		for _, f := range u.Facts {
 			rel, err := sys.BaseRelation(f.Pred, len(f.Args))
 			if err != nil {
@@ -120,15 +115,12 @@ end_module.
 		sort.Strings(out)
 		return out
 	}
-	base := run(1, false)
+	base := run(false)
 	if len(base) == 0 {
 		t.Fatal("bound query produced no answers")
 	}
-	for _, par := range []int{1, 4} {
-		if got := run(par, true); !sameStrings(base, got) {
-			t.Errorf("par %d: flow optimization changed the bound-query answer set\noff: %v\non:  %v",
-				par, base, got)
-		}
+	if got := run(true); !sameStrings(base, got) {
+		t.Errorf("flow optimization changed the bound-query answer set\noff: %v\non:  %v", base, got)
 	}
 }
 
@@ -137,11 +129,11 @@ end_module.
 // optimizations on and off.
 func TestFlowDifferentialPipelined(t *testing.T) {
 	src := workload.Chain(24) + workload.TCModule("@pipelining.")
-	base := flowRun(t, src, "tc", 2, 1, false)
+	base := flowRun(t, src, "tc", 2, false)
 	if len(base) == 0 {
 		t.Fatal("pipelined program produced no answers")
 	}
-	if got := flowRun(t, src, "tc", 2, 1, true); !sameStrings(base, got) {
+	if got := flowRun(t, src, "tc", 2, true); !sameStrings(base, got) {
 		t.Errorf("flow optimization changed the pipelined answer set\noff: %v\non:  %v", base, got)
 	}
 }

@@ -21,8 +21,8 @@ import (
 // Candidate order is preserved exactly: a JoinTable probe yields entries in
 // ascending insertion order over the same ordinal range a nested-loops scan
 // would walk, so the accepted-candidate sequence — and therefore every
-// emission, duplicate decision, and the parallel round's merge order — is
-// byte-identical with hash joins on or off.
+// emission and duplicate decision — is byte-identical with hash joins on or
+// off.
 
 // tableCacheMax bounds the build-table cache; past it the cache is evicted
 // wholesale (entries are tied to plan versions, so steady-state evaluations
@@ -91,25 +91,15 @@ func scanBounds(it *CItem, rr ruleRanges, src Source) (relation.Mark, relation.M
 }
 
 // tableFor returns a valid build table for the hash-marked item over
-// [from, to) of hr, building one on a miss. Read-only evaluators — the
-// parallel round's workers, which share the writer's cache — return nil on
-// a miss instead, and the caller falls back to the nested-loops path.
+// [from, to) of hr, building one on a miss: [from, to) is loaded into a
+// fresh table keyed on it.HashKeyPos and cached under the item. The build
+// loop polls the budget, so it may throw.
 func (ev *evaluator) tableFor(it *CItem, hr *relation.HashRelation, from, to relation.Mark) *builtTable {
 	bt := ev.tables[it]
 	if bt != nil && bt.from == from && bt.to == to &&
 		bt.muts == hr.Mutations() && hr.Snapshot() >= to {
 		return bt
 	}
-	if ev.tablesRO {
-		return nil
-	}
-	return ev.buildTable(it, hr, from, to)
-}
-
-// buildTable loads [from, to) into a fresh table keyed on it.HashKeyPos and
-// caches it under the item. Runs only on the evaluation's writer goroutine
-// (like planFor); the build loop polls the budget, so it may throw.
-func (ev *evaluator) buildTable(it *CItem, hr *relation.HashRelation, from, to relation.Mark) *builtTable {
 	if ev.tables == nil {
 		ev.tables = make(map[*CItem]*builtTable)
 	} else if len(ev.tables) >= tableCacheMax {
@@ -117,7 +107,7 @@ func (ev *evaluator) buildTable(it *CItem, hr *relation.HashRelation, from, to r
 			delete(ev.tables, k)
 		}
 	}
-	bt := &builtTable{from: from, to: to, muts: hr.Mutations(),
+	bt = &builtTable{from: from, to: to, muts: hr.Mutations(),
 		tab: ev.loadJoinTable(hr, from, to, it.HashKeyPos)}
 	ev.tables[it] = bt
 	return bt
@@ -155,30 +145,4 @@ func (ev *evaluator) loadJoinTable(hr *relation.HashRelation, from, to relation.
 	}
 	ev.HashBuilds++
 	return tab
-}
-
-// prebuildTables builds, on the writer goroutine, every build table a
-// planned rule version will want, so the parallel round's workers can probe
-// the shared cache read-only. A source that fails to resolve is skipped —
-// the evaluation itself surfaces that error. The builds poll the budget, so
-// a trip is returned as the round's error.
-func (me *matEval) prebuildTables(c *Compiled, rr ruleRanges) (err error) {
-	defer recoverEval(&err)
-	for i := range c.Body {
-		it := &c.Body[i]
-		if it.HashKeyPos == nil {
-			continue
-		}
-		src, serr := me.st.source(it.Pred)
-		if serr != nil {
-			continue
-		}
-		hr := hashRelOf(src)
-		if hr == nil {
-			continue
-		}
-		from, to := scanBounds(it, rr, src)
-		me.ev.tableFor(it, hr, from, to)
-	}
-	return nil
 }

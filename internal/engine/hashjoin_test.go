@@ -16,22 +16,21 @@ import (
 // access path serves probe candidates in ascending entry order over the
 // same ordinal range nested loops would scan, so on and off must agree
 // byte for byte, not just as sets.
-func hashRun(t *testing.T, src, pred string, arity, parallelism int, hash bool) []string {
+func hashRun(t *testing.T, src, pred string, arity int, hash bool) []string {
 	t.Helper()
 	sys, err := LoadSystem(src)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.Parallelism = parallelism
 	sys.HashJoins = hash
 	return answersInOrder(t, sys, pred, arity)
 }
 
 // TestHashJoinDifferentialRandom is the hash-join differential property
 // test: on seeded random mutually recursive programs — across fixpoint
-// strategies, with and without magic rewriting, sequentially and in
-// parallel — turning hash joins on must not change a single answer or its
-// position. CI runs this package under -race -cpu=1,4.
+// strategies, with and without magic rewriting — turning hash joins on
+// must not change a single answer or its position. CI runs this package
+// under -race -cpu=1,4.
 func TestHashJoinDifferentialRandom(t *testing.T) {
 	strategies := []string{"", "@psn.\n", "@naive.\n"}
 	for seed := int64(0); seed < 8; seed++ {
@@ -39,16 +38,13 @@ func TestHashJoinDifferentialRandom(t *testing.T) {
 		for _, strat := range strategies {
 			for _, rewrite := range []string{"@rewrite none.\n", ""} {
 				src := facts + workload.RandomDatalogModule(seed, rewrite+strat)
-				base := hashRun(t, src, "p0", 2, 1, false)
+				base := hashRun(t, src, "p0", 2, false)
 				if len(base) == 0 {
 					t.Fatalf("seed %d %q: differential program produced no answers", seed, rewrite+strat)
 				}
-				for _, par := range []int{1, 4} {
-					got := hashRun(t, src, "p0", 2, par, true)
-					if !sameStrings(base, got) {
-						t.Errorf("seed %d %q par %d: hash joins changed the answers\noff: %v\non:  %v",
-							seed, rewrite+strat, par, base, got)
-					}
+				if got := hashRun(t, src, "p0", 2, true); !sameStrings(base, got) {
+					t.Errorf("seed %d %q: hash joins changed the answers\noff: %v\non:  %v",
+						seed, rewrite+strat, base, got)
 				}
 			}
 		}
@@ -94,23 +90,22 @@ func TestHashJoinDifferentialOrderedSearch(t *testing.T) {
 // and in particular must not disturb its answers.
 func TestHashJoinDifferentialPipelined(t *testing.T) {
 	src := workload.Chain(24) + workload.TCModule("@pipelining.")
-	base := hashRun(t, src, "tc", 2, 1, false)
+	base := hashRun(t, src, "tc", 2, false)
 	if len(base) == 0 {
 		t.Fatal("pipelined program produced no answers")
 	}
-	if got := hashRun(t, src, "tc", 2, 1, true); !sameStrings(base, got) {
+	if got := hashRun(t, src, "tc", 2, true); !sameStrings(base, got) {
 		t.Errorf("hash joins changed the pipelined answers\noff: %v\non:  %v", base, got)
 	}
 }
 
 // hashMeasure runs pred/2 all-free on src and reports the engine counters.
-func hashMeasure(t *testing.T, src, pred string, parallelism int, hash bool) RunStats {
+func hashMeasure(t *testing.T, src, pred string, hash bool) RunStats {
 	t.Helper()
 	sys, err := LoadSystem(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.Parallelism = parallelism
 	sys.HashJoins = hash
 	stats, err := sys.MeasureCall(ast.PredKey{Name: pred, Arity: 2},
 		[]term.Term{term.NewVar("X"), term.NewVar("Y")})
@@ -139,8 +134,8 @@ tc(X, Y) :- edge(X, Y).
 tc(X, Y) :- edge(X, Z), tc(Z, Y).
 end_module.
 `
-	off := hashMeasure(t, src, "tc", 1, false)
-	on := hashMeasure(t, src, "tc", 1, true)
+	off := hashMeasure(t, src, "tc", false)
+	on := hashMeasure(t, src, "tc", true)
 	if on.Answers != off.Answers {
 		t.Fatalf("hash joins changed the answer count: on %d, off %d", on.Answers, off.Answers)
 	}
@@ -177,7 +172,6 @@ end_module.
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.Parallelism = 1
 			sys.HashJoins = hash
 			if _, err := drainCall(sys, "p", 2, nil); err != nil {
 				t.Fatal(err)
@@ -193,8 +187,7 @@ end_module.
 
 // TestDoublyRecursiveHashDifferential covers a rule with two recursive
 // literals: both delta versions run through the planner's hash marks
-// (probes counted), produce byte-identical answers to nested loops, and
-// agree between sequential BSN and the parallel rounds.
+// (probes counted) and produce byte-identical answers to nested loops.
 func TestDoublyRecursiveHashDifferential(t *testing.T) {
 	src := workload.RandomGraph(12, 30, 3) + `
 module m.
@@ -204,19 +197,17 @@ p(X, Y) :- edge(X, Y).
 p(X, Y) :- p(X, Z), p(Z, Y).
 end_module.
 `
-	off := hashMeasure(t, src, "p", 1, false)
-	on := hashMeasure(t, src, "p", 1, true)
+	off := hashMeasure(t, src, "p", false)
+	on := hashMeasure(t, src, "p", true)
 	if on.Answers != off.Answers {
 		t.Fatalf("hash joins changed the answer count: on %d, off %d", on.Answers, off.Answers)
 	}
 	if on.HashJoinProbes == 0 {
 		t.Fatal("doubly recursive rule never took a hash path")
 	}
-	base := hashRun(t, src, "p", 2, 1, false)
-	for _, par := range []int{1, 4} {
-		if got := hashRun(t, src, "p", 2, par, true); !sameStrings(base, got) {
-			t.Errorf("par %d: hash joins changed the answers\noff: %v\non:  %v", par, base, got)
-		}
+	base := hashRun(t, src, "p", 2, false)
+	if got := hashRun(t, src, "p", 2, true); !sameStrings(base, got) {
+		t.Errorf("hash joins changed the answers\noff: %v\non:  %v", base, got)
 	}
 }
 
@@ -236,11 +227,11 @@ dist(Y, C) :- dist(X, C1), edge(X, Y, C2), C = C1 + C2, C < 40.
 best(X, C) :- dist(X, C).
 end_module.
 `
-	base := hashRun(t, src, "best", 2, 1, false)
+	base := hashRun(t, src, "best", 2, false)
 	if len(base) == 0 {
 		t.Fatal("aggregate-selection program produced no answers")
 	}
-	if got := hashRun(t, src, "best", 2, 1, true); !sameStrings(base, got) {
+	if got := hashRun(t, src, "best", 2, true); !sameStrings(base, got) {
 		t.Errorf("hash joins changed the aggregate-selection answers\noff: %v\non:  %v", base, got)
 	}
 }
@@ -252,8 +243,6 @@ end_module.
 func TestHashJoinBudgetAbort(t *testing.T) {
 	defer func(old int) { budgetCheckEvery = old }(budgetCheckEvery)
 	budgetCheckEvery = 1
-	defer func(old int) { parMinChunk = old }(parMinChunk)
-	parMinChunk = 4
 	src := workload.RandomGraph(12, 36, 5) + `
 module m.
 export p(ff).
@@ -262,57 +251,53 @@ p(X, Y) :- edge(X, Y).
 p(X, Y) :- p(X, Z), p(Z, Y).
 end_module.
 `
-	for _, par := range []int{1, 4} {
-		fresh, err := LoadSystem(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh.Parallelism = par
-		want, err := drainCall(fresh, "p", 2, nil)
-		if err != nil {
-			t.Fatalf("reference run: %v", err)
-		}
-		base := runtime.NumGoroutine()
-		aborts := 0
-		for k := 1; k <= 25; k += 3 {
-			for _, inject := range []string{"ctx", "facts"} {
-				sys, err := LoadSystem(src)
-				if err != nil {
-					t.Fatal(err)
+	fresh, err := LoadSystem(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := drainCall(fresh, "p", 2, nil)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	base := runtime.NumGoroutine()
+	aborts := 0
+	for k := 1; k <= 25; k += 3 {
+		for _, inject := range []string{"ctx", "facts"} {
+			sys, err := LoadSystem(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch inject {
+			case "ctx":
+				sys.Ctx = &countdownCtx{left: int64(k)}
+			case "facts":
+				sys.Budget = Budget{MaxFacts: k}
+			}
+			got, err := drainCall(sys, "p", 2, nil)
+			if err != nil {
+				var ab *AbortError
+				if !errors.As(err, &ab) {
+					t.Fatalf("%s k=%d: abort is not *AbortError: %v", inject, k, err)
 				}
-				sys.Parallelism = par
-				switch inject {
-				case "ctx":
-					sys.Ctx = &countdownCtx{left: int64(k)}
-				case "facts":
-					sys.Budget = Budget{MaxFacts: k}
-				}
-				got, err := drainCall(sys, "p", 2, nil)
-				if err != nil {
-					var ab *AbortError
-					if !errors.As(err, &ab) {
-						t.Fatalf("par %d %s k=%d: abort is not *AbortError: %v", par, inject, k, err)
-					}
-					aborts++
-				} else if !sameStrings(got, want) {
-					t.Fatalf("par %d %s k=%d: uncanceled run diverged", par, inject, k)
-				}
-				sys.Ctx = nil
-				sys.Budget = Budget{}
-				rerun, err := drainCall(sys, "p", 2, nil)
-				if err != nil {
-					t.Fatalf("par %d %s k=%d: re-run after abort failed: %v", par, inject, k, err)
-				}
-				if !sameStrings(rerun, want) {
-					t.Fatalf("par %d %s k=%d: re-run diverges from fresh System", par, inject, k)
-				}
+				aborts++
+			} else if !sameStrings(got, want) {
+				t.Fatalf("%s k=%d: uncanceled run diverged", inject, k)
+			}
+			sys.Ctx = nil
+			sys.Budget = Budget{}
+			rerun, err := drainCall(sys, "p", 2, nil)
+			if err != nil {
+				t.Fatalf("%s k=%d: re-run after abort failed: %v", inject, k, err)
+			}
+			if !sameStrings(rerun, want) {
+				t.Fatalf("%s k=%d: re-run diverges from fresh System", inject, k)
 			}
 		}
-		if aborts == 0 {
-			t.Fatal("sweep never tripped an abort through the hash path")
-		}
-		assertNoGoroutineLeak(t, base)
 	}
+	if aborts == 0 {
+		t.Fatal("sweep never tripped an abort through the hash path")
+	}
+	assertNoGoroutineLeak(t, base)
 }
 
 // TestWritableUnwrapRefusesPrefix: hashRelOfWritable is the accessor index

@@ -17,22 +17,10 @@ import (
 // the discipline is tied to the written occurrence, so it survives the join
 // planner's body permutations (plan.go). DeltaPos < 0 evaluates the rule
 // against full extents (non-recursive rules, or naive evaluation).
-//
-// Split, when non-nil, further restricts the relation item at the schedule
-// position Split.Pos to the ordinal range [Split.From, Split.To) — the
-// parallel round's work partitioning (see parallel.go). The range must be a
-// subrange of whatever the discipline above would give that item.
 type ruleRanges struct {
 	DeltaPos int
 	Last     map[ast.PredKey]relation.Mark
 	Now      map[ast.PredKey]relation.Mark
-	Split    *splitRange
-}
-
-// splitRange restricts one body position's scan to an ordinal chunk.
-type splitRange struct {
-	Pos      int
-	From, To relation.Mark
 }
 
 var fullRanges = ruleRanges{DeltaPos: -1}
@@ -115,21 +103,16 @@ type evaluator struct {
 	guard      *budgetGuard
 	budgetTick int
 	// tables is the build-table cache for hash-marked items (hashjoin.go),
-	// keyed by planned item identity. tablesRO marks worker evaluators,
-	// which share the writer's cache read-only and fall back to nested
-	// loops on a miss.
-	tables   map[*CItem]*builtTable
-	tablesRO bool
+	// keyed by planned item identity.
+	tables map[*CItem]*builtTable
 	// bytecode routes eligible rule versions through the register machine
 	// (bytecode.go); bcProgs caches compiled programs per rule version
-	// (nil entries mark ineligible rules), bcRO marks worker evaluators
-	// sharing the writer's cache read-only, and bc is the pooled machine
+	// (nil entries mark ineligible rules), and bc is the pooled machine
 	// state. Tracing keeps the interpreter (justifications capture live
 	// environments), as does Ordered Search (callers leave bytecode off —
 	// magic-fact attribution reads curRule/curEnv mid-emit).
 	bytecode bool
 	bcProgs  map[*Compiled]*bcProg
-	bcRO     bool
 	bc       bcMachine
 	// stats
 	Derivations int // successful head instantiations
@@ -310,7 +293,7 @@ func (ev *evaluator) run(c *Compiled, rr ruleRanges, env *term.Env, tr *term.Tra
 			i = backtrack(i, false)
 		case ItemRel:
 			if fr.iter == nil {
-				fr.iter = ev.lookupFor(it, i, rr, env, fr)
+				fr.iter = ev.lookupFor(it, rr, env, fr)
 				fr.any = false
 			}
 			tr.Undo(fr.mark)
@@ -352,29 +335,24 @@ func (ev *evaluator) run(c *Compiled, rr ruleRanges, env *term.Env, tr *term.Tra
 	}
 }
 
-// lookupFor opens the scan for the relation item scheduled at body position
-// pos, applying the semi-naive range discipline for recursive items. The
-// discipline keys on the item's written position (OrigPos), so a planned
-// schedule reads exactly the ranges the written rule would. Items the
-// planner hash-marked are served from a build table instead (hashjoin.go),
-// resetting the frame's pooled probe cursor; a worker-side cache miss falls
-// through to the ordinary lookup path.
-func (ev *evaluator) lookupFor(it *CItem, pos int, rr ruleRanges, env *term.Env, fr *frame) relation.Iterator {
+// lookupFor opens the scan for a relation item, applying the semi-naive
+// range discipline for recursive items. The discipline keys on the item's
+// written position (OrigPos), so a planned schedule reads exactly the
+// ranges the written rule would. Items the planner hash-marked are served
+// from a build table instead (hashjoin.go), resetting the frame's pooled
+// probe cursor.
+func (ev *evaluator) lookupFor(it *CItem, rr ruleRanges, env *term.Env, fr *frame) relation.Iterator {
 	src, err := ev.st.source(it.Pred)
 	if err != nil {
 		throwf("%v", err)
 	}
-	if sp := rr.Split; sp != nil && pos == sp.Pos {
-		return src.LookupRange(it.Args, env, sp.From, sp.To)
-	}
 	if it.HashKeyPos != nil {
 		if hr := hashRelOf(src); hr != nil {
 			from, to := scanBounds(it, rr, src)
-			if bt := ev.tableFor(it, hr, from, to); bt != nil {
-				ev.HashProbes++
-				bt.tab.Probe(it.Args, env, &fr.probe)
-				return &fr.probe
-			}
+			bt := ev.tableFor(it, hr, from, to)
+			ev.HashProbes++
+			bt.tab.Probe(it.Args, env, &fr.probe)
+			return &fr.probe
 		}
 	}
 	if !it.Recursive || rr.DeltaPos < 0 {

@@ -18,8 +18,7 @@ type RunStats struct {
 	Attempts int
 	// Iterations counts fixpoint iterations.
 	Iterations int
-	// ParallelRounds counts the BSN rounds that ran on the worker pool
-	// (0 under sequential evaluation or when a stratum is parallel-unsafe).
+	// Deprecated: always 0; parallel rounds were removed.
 	ParallelRounds int
 	// FactsStored sums the sizes of the evaluation's derived relations
 	// (including magic and supplementary predicates).
@@ -44,7 +43,6 @@ func (s RunStats) add(o RunStats) RunStats {
 	s.Derivations += o.Derivations
 	s.Attempts += o.Attempts
 	s.Iterations += o.Iterations
-	s.ParallelRounds += o.ParallelRounds
 	s.FactsStored += o.FactsStored
 	s.HashJoinBuilds += o.HashJoinBuilds
 	s.HashJoinProbes += o.HashJoinProbes
@@ -59,7 +57,6 @@ func (s RunStats) sub(o RunStats) RunStats {
 	s.Derivations -= o.Derivations
 	s.Attempts -= o.Attempts
 	s.Iterations -= o.Iterations
-	s.ParallelRounds -= o.ParallelRounds
 	s.FactsStored -= o.FactsStored
 	s.HashJoinBuilds -= o.HashJoinBuilds
 	s.HashJoinProbes -= o.HashJoinProbes

@@ -21,11 +21,6 @@ import (
 // Pipelining uses facts on the fly and stores nothing, at the potential
 // cost of recomputation (and of non-termination on cyclic data — exactly
 // the trade the paper describes against materialization).
-//
-// Pipelined modules ignore System.Parallelism: the whole point of the
-// strategy is demand-driven tuple-at-a-time control flow, so there is no
-// round barrier to parallelize across (contrast parallel.go, which
-// partitions the materialized BSN round).
 
 // pipeProgram is a compiled pipelined module: a list of predicates, each
 // with its rules in definition order (paper §5.1).

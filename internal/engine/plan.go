@@ -317,9 +317,7 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 // estimated flow of partial bindings into each position — and marks every
 // relation item for which a build table beats per-probe lookups
 // (hashEligible). The leading relation item is never marked: nothing is
-// bound when it is reached, and the parallel round partitions work by
-// splitting exactly that item's ordinal range (splitVersion). Reports
-// whether any item was marked.
+// bound when it is reached. Reports whether any item was marked.
 func (me *matEval) markHashItems(nc *Compiled, sched []int, stats []relation.Stats) bool {
 	if !me.hashing {
 		return false
@@ -523,7 +521,7 @@ func buildPlanned(c *Compiled, order []int) *Compiled {
 // ensurePlanIndexes creates the argument-form indexes the planned schedule
 // wants (idempotent; MakeIndex is a no-op on an existing index). Index
 // creation mutates the relation, so this runs — like planFor itself — only
-// on the writer goroutine, before any parallel workers start.
+// on the evaluation's own goroutine.
 func (me *matEval) ensurePlanIndexes(c *Compiled) {
 	if me.prog != nil && me.prog.Ann.NoIndexing {
 		return

@@ -19,36 +19,32 @@ func answersSorted(t *testing.T, sys *System, pred string, arity int) []string {
 	return out
 }
 
-// planRun loads src with the given planner and parallelism settings and
-// returns the sorted answers of pred/arity.
-func planRun(t *testing.T, src, pred string, arity, parallelism int, planning bool) []string {
+// planRun loads src with the planner on or off and returns the sorted
+// answers of pred/arity.
+func planRun(t *testing.T, src, pred string, arity int, planning bool) []string {
 	t.Helper()
 	sys, err := LoadSystem(src)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.Parallelism = parallelism
 	sys.JoinPlanning = planning
 	return answersSorted(t, sys, pred, arity)
 }
 
 // TestPlannerDifferentialRandom is the planner's differential property
 // test: on seeded random mutually recursive programs, planner-on and
-// planner-off evaluation — sequential and parallel, with and without magic
-// rewriting — must compute identical answer sets. CI runs this package
+// planner-off evaluation — with and without magic rewriting — must compute
+// identical answer sets. CI runs this package
 // under -race -cpu=1,4.
 func TestPlannerDifferentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		facts := workload.RandomGraph(10, 25, seed)
 		for _, ann := range []string{"@rewrite none.", ""} {
 			src := facts + workload.RandomDatalogModule(seed, ann)
-			base := planRun(t, src, "p0", 2, 1, false)
-			for _, par := range []int{1, 4} {
-				got := planRun(t, src, "p0", 2, par, true)
-				if !sameStrings(base, got) {
-					t.Errorf("seed %d ann %q par %d: planner changed the answer set\noff: %v\non:  %v",
-						seed, ann, par, base, got)
-				}
+			base := planRun(t, src, "p0", 2, false)
+			if got := planRun(t, src, "p0", 2, true); !sameStrings(base, got) {
+				t.Errorf("seed %d ann %q: planner changed the answer set\noff: %v\non:  %v",
+					seed, ann, base, got)
 			}
 		}
 	}
@@ -70,15 +66,12 @@ reach(X, Y) :- edge(X, Z), reach(Z, Y).
 unreach(X, Y) :- node(X), node(Y), not reach(X, Y).
 end_module.
 `
-	base := planRun(t, src, "unreach", 2, 1, false)
+	base := planRun(t, src, "unreach", 2, false)
 	if len(base) == 0 {
 		t.Fatal("differential program produced no answers")
 	}
-	for _, par := range []int{1, 4} {
-		got := planRun(t, src, "unreach", 2, par, true)
-		if !sameStrings(base, got) {
-			t.Errorf("par %d: planner changed the answer set\noff: %v\non:  %v", par, base, got)
-		}
+	if got := planRun(t, src, "unreach", 2, true); !sameStrings(base, got) {
+		t.Errorf("planner changed the answer set\noff: %v\non:  %v", base, got)
 	}
 }
 
@@ -94,15 +87,12 @@ dist(X, Y, C) :- edge(X, Z, C1), dist(Z, Y, C2), C = C1 + C2, C < 40.
 far(X, Y) :- dist(X, Y, C), C > 10.
 end_module.
 `
-	base := planRun(t, src, "far", 2, 1, false)
+	base := planRun(t, src, "far", 2, false)
 	if len(base) == 0 {
 		t.Fatal("differential program produced no answers")
 	}
-	for _, par := range []int{1, 4} {
-		got := planRun(t, src, "far", 2, par, true)
-		if !sameStrings(base, got) {
-			t.Errorf("par %d: planner changed the answer set\noff: %v\non:  %v", par, base, got)
-		}
+	if got := planRun(t, src, "far", 2, true); !sameStrings(base, got) {
+		t.Errorf("planner changed the answer set\noff: %v\non:  %v", base, got)
 	}
 }
 

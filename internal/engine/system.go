@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"maps"
-	"runtime"
 	"sync"
 
 	"coral/internal/ast"
@@ -38,13 +37,6 @@ type System struct {
 	// unguarded: configuration, set before the system serves concurrent
 	// callers (the epoch fence in serve keeps writers out of evaluations).
 	AutoDefineBase bool
-	// Parallelism bounds the worker pool of each BSN fixpoint round
-	// (parallel.go). 0 uses runtime.GOMAXPROCS(0); 1 forces sequential
-	// rounds. Strata whose evaluation is inherently sequential — Ordered
-	// Search, tracing, aggregate selections, module-call or computed body
-	// sources — ignore the setting and run sequentially either way.
-	// unguarded: configuration, set before concurrent use.
-	Parallelism int
 	// JoinPlanning enables the cost-based join planner (plan.go), on by
 	// default. When false every rule body is evaluated in its written
 	// order, preserving the pre-planner behavior byte for byte. Ordered
@@ -336,14 +328,6 @@ func (def *ModuleDef) Programs() map[string]*Program {
 
 func formKey(pred, form string) string { return pred + "/" + form }
 
-// fixpointWorkers resolves the Parallelism setting to a worker count.
-func (sys *System) fixpointWorkers() int {
-	if sys.Parallelism > 0 {
-		return sys.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // external builds the source resolver for module evaluation: base
 // relations, then other modules' exports (an inter-module call per lookup,
 // paper §5.6), then auto-defined empty base relations.
@@ -527,7 +511,6 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 // configureEval re-applies the system toggles and the caller's guard to an
 // evaluation — on every call, so saved evaluations follow later changes.
 func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
-	me.parallelism = def.sys.fixpointWorkers()
 	me.planning = def.sys.JoinPlanning
 	me.hashing = def.sys.HashJoins
 	me.ev.bytecode = def.sys.Bytecode && me.ctx == nil
@@ -808,7 +791,8 @@ func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, err e
 		return true
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, withAbortStats(err, RunStats{
+			Answers: len(facts), Derivations: ev.Derivations, Attempts: ev.Attempts})
 	}
 	return vars, facts, nil
 }

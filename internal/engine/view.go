@@ -182,9 +182,9 @@ func (s *viewCallSource) LookupRange(pattern []term.Term, env *term.Env, from, t
 func (s *viewCallSource) Snapshot() relation.Mark { return 0 }
 
 // statsAcc accumulates the statistics of the evaluations one query
-// triggers. Module-call sources evaluate on the query's goroutine (parallel
-// rounds exclude them), but the accumulator locks anyway so the contract
-// does not silently depend on that.
+// triggers. Module-call sources evaluate on the query's goroutine, but the
+// accumulator locks anyway so the contract does not silently depend on
+// that.
 type statsAcc struct {
 	mu    sync.Mutex
 	evals []*matEval // guarded_by(mu)
@@ -250,7 +250,7 @@ func (v *View) Query(body []ast.Literal) (vars []string, facts []Fact, stats Run
 	stats.Attempts += ev.Attempts
 	stats.Derivations += ev.Derivations
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, stats, withAbortStats(err, stats)
 	}
 	return vars, facts, stats, nil
 }

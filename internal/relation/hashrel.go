@@ -20,12 +20,11 @@ import (
 //
 // A HashRelation is single-writer. Any number of goroutines may read
 // concurrently — Scan/ScanRange/Lookup/LookupRange and their iterators —
-// provided no goroutine is mutating the relation at the same time. The
-// parallel fixpoint round exploits exactly this: workers read Mark-bounded
-// prefixes frozen at the top of the round while all writes are buffered,
-// and the single merge writer applies the buffer after every reader has
-// reached the round barrier. There is no internal locking; interleaving a
-// writer with concurrent readers is a data race.
+// provided no goroutine is mutating the relation at the same time.
+// Concurrent engine Views exploit exactly this: each reads Mark-bounded
+// prefixes of the shared base relations while the server's epoch fence
+// keeps writers out. There is no internal locking; interleaving a writer
+// with concurrent readers is a data race.
 //
 // Within the single-writer regime, iterators stay valid across writes:
 // appends only extend the facts slice beyond an iterator's bound, deletes
@@ -191,43 +190,6 @@ func (r *HashRelation) isDuplicate(f Fact) bool {
 	}
 	// Subsumption by a strictly more general stored fact.
 	for _, ord := range r.nonground {
-		sf := &r.facts[ord]
-		if sf.dead {
-			continue
-		}
-		if term.Subsumes(sf.fact.Args, sf.fact.NVars, f.Args) {
-			return true
-		}
-	}
-	return false
-}
-
-// DuplicateWithin reports whether f is a variant of — or subsumed by — a
-// live fact with ordinal below to. It performs the same checks as Insert's
-// duplicate elimination, restricted to the Mark-bounded prefix, and never
-// mutates the relation: under the single-writer contract (see the type
-// comment) the parallel round's workers call it concurrently to discard
-// rederivations of round-start facts before the merge barrier. A false
-// result is not a promise of admission — the merge writer still runs the
-// full check against facts inserted after to.
-func (r *HashRelation) DuplicateWithin(f Fact, to Mark) bool {
-	h := term.HashArgs(f.Args)
-	for _, ord := range r.dedup[h] {
-		if ord >= int32(to) {
-			break // postings are ordinal-sorted
-		}
-		sf := &r.facts[ord]
-		if sf.dead {
-			continue
-		}
-		if sf.fact.NVars == f.NVars && term.EqualArgs(sf.fact.Args, f.Args) {
-			return true
-		}
-	}
-	for _, ord := range r.nonground {
-		if ord >= int32(to) {
-			break
-		}
 		sf := &r.facts[ord]
 		if sf.dead {
 			continue

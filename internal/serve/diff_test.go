@@ -11,10 +11,10 @@ import (
 )
 
 // Differential serving test: for every fixpoint strategy and engine
-// toggle combination, eight concurrent clients hammering a shared server
-// must get exactly the answers a fresh single-threaded coral.System
-// computes for the same program — concurrency, snapshot sessions, hash
-// joins, bytecode and parallel fixpoints must not change one tuple.
+// toggle combination, concurrent clients hammering a shared server must
+// get exactly the answers a fresh single-threaded coral.System computes
+// for the same program — concurrency, snapshot sessions, hash joins and
+// bytecode must not change one tuple.
 
 // diffQueries mixes bound and free recursive queries with base joins.
 func diffQueries() []string {
@@ -33,7 +33,6 @@ func diffQueries() []string {
 func referenceAnswers(t *testing.T, program string, queries []string) map[string][][]string {
 	t.Helper()
 	sys := coral.New()
-	sys.SetParallelism(1)
 	if _, err := sys.Consult(program); err != nil {
 		t.Fatalf("reference consult: %v", err)
 	}
@@ -81,6 +80,9 @@ func TestDifferentialServing(t *testing.T) {
 		}
 		for _, hashJoins := range []bool{false, true} {
 			for _, bytecode := range []bool{false, true} {
+				// par is the number of concurrent clients of each kind:
+				// one snapshot and one one-shot client at par=1, four of
+				// each at par=4.
 				for _, par := range []int{1, 4} {
 					name := fmt.Sprintf("%s/hash=%v/bc=%v/par=%d", strat.name, hashJoins, bytecode, par)
 					t.Run(name, func(t *testing.T) {
@@ -92,14 +94,13 @@ func TestDifferentialServing(t *testing.T) {
 	}
 }
 
-// runServingDiff serves one configured system to 8 concurrent clients
-// (half in snapshot sessions, half one-shot) and checks every response
-// against the reference answers.
-func runServingDiff(t *testing.T, program string, queries []string, want map[string][][]string, hashJoins, bytecode bool, parallelism int) {
+// runServingDiff serves one configured system to 2*perKind concurrent
+// clients (half in snapshot sessions, half one-shot) and checks every
+// response against the reference answers.
+func runServingDiff(t *testing.T, program string, queries []string, want map[string][][]string, hashJoins, bytecode bool, perKind int) {
 	sys := coral.New()
 	sys.SetHashJoins(hashJoins)
 	sys.SetBytecode(bytecode)
-	sys.SetParallelism(parallelism)
 	if _, err := sys.Consult(program); err != nil {
 		t.Fatalf("consult: %v", err)
 	}
@@ -108,7 +109,7 @@ func runServingDiff(t *testing.T, program string, queries []string, want map[str
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
-	for c := 0; c < 8; c++ {
+	for c := 0; c < 2*perKind; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()

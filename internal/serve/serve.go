@@ -107,11 +107,10 @@ type QueryResponse struct {
 
 // RunStats is the JSON shape of engine run statistics.
 type RunStats struct {
-	Answers        int `json:"answers"`
-	Derivations    int `json:"derivations"`
-	Iterations     int `json:"iterations"`
-	ParallelRounds int `json:"parallel_rounds,omitempty"`
-	FactsStored    int `json:"facts_stored,omitempty"`
+	Answers     int `json:"answers"`
+	Derivations int `json:"derivations"`
+	Iterations  int `json:"iterations"`
+	FactsStored int `json:"facts_stored,omitempty"`
 }
 
 // ErrorResponse is the uniform error body: every failure path returns one,
@@ -388,10 +387,9 @@ func renderTuples(tuples []coral.Tuple) [][]string {
 
 func statsJSON(st coral.RunStats) RunStats {
 	return RunStats{
-		Answers:        st.Answers,
-		Derivations:    st.Derivations,
-		Iterations:     st.Iterations,
-		ParallelRounds: st.ParallelRounds,
-		FactsStored:    st.FactsStored,
+		Answers:     st.Answers,
+		Derivations: st.Derivations,
+		Iterations:  st.Iterations,
+		FactsStored: st.FactsStored,
 	}
 }

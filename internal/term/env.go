@@ -51,7 +51,7 @@ func (e *Env) EnsureSlots(n int) {
 // emptyEnv is the canonical environment for ground facts (NVars == 0). A
 // ground fact has no variables, so unification never binds into its
 // environment and a single shared read-only instance serves every such
-// fact — including concurrently, across the parallel round's workers.
+// fact — including concurrently, across concurrent evaluations.
 var emptyEnv = &Env{}
 
 // EmptyEnv returns the shared environment for terms with no variables.

@@ -173,7 +173,7 @@ const maxVarUnknown = math.MinInt32
 //
 // maxVar and id are memoized lazily, so they are published with atomic
 // stores and read with atomic loads: terms are shared structurally across
-// relations, and the parallel fixpoint round reads stored facts from many
+// relations, and concurrent evaluations read stored facts from many
 // goroutines at once (DESIGN.md §5.9). Both memos are write-once-per-value
 // (id never changes once assigned; maxVar always recomputes to the same
 // value), so racing writers are idempotent and a stale read only costs a

@@ -156,8 +156,8 @@ func MutualRecursion(k int, ann string) string {
 
 // ReachModule is plain reachability over the weighted edge/3 relation
 // (the shortest-path workload's graph): the cost argument is read but not
-// aggregated, so the fixpoint is a pure BSN round — the workload the
-// parallel fixpoint benchmark (BenchmarkE05Par) partitions across cores.
+// aggregated, so the fixpoint is a pure BSN round — the workload of the
+// fixpoint benchmark BenchmarkE05Reach.
 func ReachModule(ann string) string {
 	return `
 module reach.
@@ -181,8 +181,8 @@ end_module.
 // Every rule is range-restricted and every derived value is a graph node,
 // so the fixpoint always terminates. p0 is exported free-free; splice ann
 // (e.g. "@rewrite none.") to pick the evaluation strategy. The property
-// test in internal/engine runs these under BSN, PSN, naive and parallel
-// evaluation and requires identical answer sets.
+// test in internal/engine runs these under BSN, PSN and naive evaluation
+// and requires identical answer sets.
 //
 // Seed-dependently, the module grows two extra layers above the recursive
 // core: a stratified negation layer (q0, exported when present) whose
@@ -190,9 +190,7 @@ end_module.
 // @aggregate_selection layer (agg0, exported when present) using min — a
 // deterministic selection whose surviving set is independent of derivation
 // order, unlike any. The draws come after the p-layer's, so a given seed
-// produces the same recursive core it always did; aggregate selections
-// disable parallel rounds wholesale, which is why agg emission must not be
-// unconditional — seeds without it keep parallel differential coverage.
+// produces the same recursive core it always did.
 func RandomDatalogModule(seed int64, ann string) string {
 	r := rand.New(rand.NewSource(seed))
 	k := 2 + r.Intn(3)
