@@ -544,7 +544,9 @@ func (me *matEval) ensurePlanIndexes(c *Compiled) {
 		if me.sharedRO {
 			// A concurrent read-only evaluation owns only its derived
 			// relations; creating an index on a shared base relation would
-			// race with other sessions' reads of the same relation.
+			// race with other sessions' reads of the same relation. The
+			// installer builds the base indexes modules request instead
+			// (System.baseIdx).
 			if _, owned := me.st.local[it.Pred]; !owned {
 				continue
 			}

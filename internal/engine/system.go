@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 
 	"coral/internal/ast"
@@ -32,6 +34,13 @@ type System struct {
 	base    map[ast.PredKey]relation.Relation // guarded_by(mu)
 	exports map[ast.PredKey]*ModuleDef        // guarded_by(mu)
 	modules map[string]*ModuleDef             // guarded_by(mu)
+	// baseIdx is the union of the argument-form index requests (paper
+	// §5.3) the installed modules' programs make on predicates they do not
+	// define. The installer builds them — AddModule on the hash base
+	// relations that exist, BaseRelation on each one it creates — because
+	// read-only evaluations (View) never create an index on a shared
+	// relation.
+	baseIdx map[ast.PredKey][][]int // guarded_by(mu)
 	// AutoDefineBase controls whether referencing an unknown predicate
 	// creates an empty base relation (convenient interactively) or errors.
 	// unguarded: configuration, set before the system serves concurrent
@@ -97,6 +106,7 @@ func NewSystem() *System {
 		base:             make(map[ast.PredKey]relation.Relation),
 		exports:          make(map[ast.PredKey]*ModuleDef),
 		modules:          make(map[string]*ModuleDef),
+		baseIdx:          make(map[ast.PredKey][][]int),
 		AutoDefineBase:   true,
 		JoinPlanning:     true,
 		HashJoins:        true,
@@ -107,9 +117,10 @@ func NewSystem() *System {
 }
 
 // BaseRelation returns (creating if needed) the in-memory base relation for
-// name/arity. It errors when the predicate is already registered with a
-// non-hash representation (computed, persistent, list): those relations
-// cannot accept interactive inserts.
+// name/arity. A new relation gets every index the installed modules request
+// on it before anyone else can see it. It errors when the predicate is
+// already registered with a non-hash representation (computed, persistent,
+// list): those relations cannot accept interactive inserts.
 func (sys *System) BaseRelation(name string, arity int) (*relation.HashRelation, error) {
 	key := ast.PredKey{Name: name, Arity: arity}
 	sys.mu.Lock()
@@ -121,6 +132,9 @@ func (sys *System) BaseRelation(name string, arity int) (*relation.HashRelation,
 		return nil, fmt.Errorf("engine: %s exists with a different representation (%T)", key, r)
 	}
 	r := relation.NewHashRelation(name, arity)
+	for _, pos := range sys.baseIdx[key] {
+		_ = r.MakeIndex(pos...) // positions come from compiled literals of this arity
+	}
 	sys.base[key] = r
 	return r, nil
 }
@@ -160,54 +174,72 @@ func (sys *System) Bases(fn func(ast.PredKey, relation.Relation)) {
 }
 
 // Checkpoint is a rollback point over the registry: the base relations,
-// modules and exports registered when it was taken, plus every hash base
-// relation's extent. Restore returns the system to it.
+// modules and exports registered when it was taken, the install-time index
+// requests, plus every hash base relation's extent and index counts.
+// Restore returns the system to it.
 type Checkpoint struct {
 	base    map[ast.PredKey]relation.Relation
-	marks   map[ast.PredKey]relation.Mark
+	marks   map[ast.PredKey]baseMark
 	exports map[ast.PredKey]*ModuleDef
 	modules map[string]*ModuleDef
+	baseIdx map[ast.PredKey][][]int
 }
 
-// Checkpoint captures the registry and the hash base relations' extents —
-// the rollback point of one load (the coral server takes it under its
-// epoch write lock, before consulting the program).
+// baseMark is one hash base relation's rollback point: its extent and how
+// many argument-form and pattern-form indexes it held.
+type baseMark struct {
+	extent             relation.Mark
+	argForms, patForms int
+}
+
+// Checkpoint captures the registry and the hash base relations' extents
+// and indexes — the rollback point of one load (the coral server takes it
+// under its epoch write lock, before consulting the program).
 func (sys *System) Checkpoint() *Checkpoint {
 	sys.mu.RLock()
 	defer sys.mu.RUnlock()
 	cp := &Checkpoint{
 		base:    maps.Clone(sys.base),
-		marks:   make(map[ast.PredKey]relation.Mark),
+		marks:   make(map[ast.PredKey]baseMark),
 		exports: maps.Clone(sys.exports),
 		modules: maps.Clone(sys.modules),
+		// Request lists only grow by append, so the cloned slice headers
+		// keep seeing exactly the requests made before the checkpoint.
+		baseIdx: maps.Clone(sys.baseIdx),
 	}
 	for key, r := range sys.base {
 		if hr, ok := r.(*relation.HashRelation); ok {
-			cp.marks[key] = hr.Snapshot()
+			mk := baseMark{extent: hr.Snapshot()}
+			mk.argForms, mk.patForms = hr.IndexCounts()
+			cp.marks[key] = mk
 		}
 	}
 	return cp
 }
 
-// Restore rolls the system back to cp: base relations, modules and exports
-// registered since are dropped, and every surviving hash base relation is
-// truncated back to its mark (the truncation bumps its mutation counter,
-// so open snapshots over it report invalid). Save-module state of the
-// surviving modules is discarded, since it may hold derivations from
-// rolled-back facts; the next call re-derives it. Two things are not
-// undone: deletions below a mark (TruncateTo rolls back insertions only)
-// and indexes created on relations that predate cp. The caller must fence
-// every evaluation out while it restores.
+// Restore rolls the system back to cp: base relations, modules, exports
+// and install-time index requests registered since are dropped, and every
+// surviving hash base relation is truncated back to its mark (the
+// truncation bumps its mutation counter, so open snapshots over it report
+// invalid) and loses the indexes created since (which invalidates
+// nothing). Save-module state of the surviving modules is discarded, since
+// it may hold derivations from rolled-back facts; the next call re-derives
+// it. One thing is not undone: deletions below a mark (TruncateTo rolls
+// back insertions only). The caller must fence every evaluation out while
+// it restores.
 func (sys *System) Restore(cp *Checkpoint) {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
 	sys.base = maps.Clone(cp.base)
 	sys.exports = maps.Clone(cp.exports)
 	sys.modules = maps.Clone(cp.modules)
+	sys.baseIdx = maps.Clone(cp.baseIdx)
 	for key, mk := range cp.marks {
-		if hr := sys.base[key].(*relation.HashRelation); hr.Snapshot() > mk {
-			hr.TruncateTo(mk)
+		hr := sys.base[key].(*relation.HashRelation)
+		if hr.Snapshot() > mk.extent {
+			hr.TruncateTo(mk.extent)
 		}
+		hr.TruncateIndexes(mk.argForms, mk.patForms)
 	}
 	for _, def := range sys.modules {
 		def.savedMu.Lock()
@@ -247,7 +279,8 @@ type ModuleDef struct {
 
 // AddModule validates and installs a module, preparing a program for each
 // declared query form (the paper's optimizer runs per module and query
-// form, §2).
+// form, §2), and builds the indexes those programs request on base
+// relations.
 func (sys *System) AddModule(m *ast.Module) error {
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
@@ -293,9 +326,50 @@ func (sys *System) AddModule(m *ast.Module) error {
 	}
 	for _, e := range m.Exports {
 		sys.exports[ast.PredKey{Name: e.Pred, Arity: e.Arity}] = def
+		for _, form := range e.Forms {
+			for _, req := range def.progs[formKey(e.Pred, form)].baseIndexReqs() {
+				if slices.ContainsFunc(sys.baseIdx[req.key], func(p []int) bool { return slices.Equal(p, req.pos) }) {
+					continue
+				}
+				sys.baseIdx[req.key] = append(sys.baseIdx[req.key], req.pos)
+				if hr, ok := sys.base[req.key].(*relation.HashRelation); ok {
+					_ = hr.MakeIndex(req.pos...) // positions come from compiled literals of this arity
+				}
+			}
+		}
 	}
 	sys.modules[m.Name] = def
 	return nil
+}
+
+// indexReq is one argument-form index request on a predicate.
+type indexReq struct {
+	key ast.PredKey
+	pos []int
+}
+
+// baseIndexReqs lists p's index requests on predicates it does not define
+// (base relations, other modules' exports), sorted by predicate so every
+// install builds a relation's indexes in the same order. A nil p (a
+// pipelined module compiles no programs) requests nothing.
+func (p *Program) baseIndexReqs() []indexReq {
+	if p == nil {
+		return nil
+	}
+	var reqs []indexReq
+	for key, list := range p.IndexReqs {
+		if p.LocalPreds[key] {
+			continue
+		}
+		for _, pos := range list {
+			reqs = append(reqs, indexReq{key, pos})
+		}
+	}
+	// Stable: requests on one predicate keep their planning order.
+	slices.SortStableFunc(reqs, func(a, b indexReq) int {
+		return cmp.Or(cmp.Compare(a.key.Name, b.key.Name), cmp.Compare(a.key.Arity, b.key.Arity))
+	})
+	return reqs
 }
 
 // Module returns an installed module by name.

@@ -52,6 +52,28 @@ func (r *HashRelation) HasIndex(positions ...int) bool {
 	return false
 }
 
+// IndexCounts returns how many argument-form and pattern-form indexes the
+// relation holds — a rollback point for TruncateIndexes.
+func (r *HashRelation) IndexCounts() (argForms, patForms int) {
+	return len(r.indexes), len(r.patIndexes)
+}
+
+// TruncateIndexes drops every index created after the relation held
+// argForms argument-form and patForms pattern-form indexes (see
+// IndexCounts). Indexes only speed up lookups, so this is not a
+// destructive change: Mutations does not advance, and snapshots and build
+// tables over the relation stay valid.
+func (r *HashRelation) TruncateIndexes(argForms, patForms int) {
+	if argForms < len(r.indexes) {
+		clear(r.indexes[argForms:]) // release the dropped postings
+		r.indexes = r.indexes[:argForms]
+	}
+	if patForms < len(r.patIndexes) {
+		clear(r.patIndexes[patForms:])
+		r.patIndexes = r.patIndexes[:patForms]
+	}
+}
+
 func samePositions(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

@@ -314,6 +314,54 @@ func TestSnapshotSessionIsolation(t *testing.T) {
 	}
 }
 
+// TestBaseIndexSnapshotSurvivesLoad: a load whose module makes the
+// installer build a new index on edge is not a destructive change. A
+// snapshot session opened before it stays valid and keeps answering the
+// pre-load state, including probes the new index now serves.
+func TestBaseIndexSnapshotSurvivesLoad(t *testing.T) {
+	sys, ts := newTestServer(t, testProgram, Options{})
+	edge, err := sys.Engine().BaseRelation("edge", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edge.HasIndex(1) {
+		t.Fatal("setup: edge already indexed on its second argument")
+	}
+	var sr SessionResponse
+	if code := post(t, ts.URL+"/session", SessionRequest{Snapshot: true}, &sr); code != http.StatusOK {
+		t.Fatalf("snapshot session: HTTP %d", code)
+	}
+	queries := []string{"path(a, X)", "edge(X, d)", "edge(X, e)"}
+	before := make([]*QueryResponse, len(queries))
+	for i, q := range queries {
+		before[i] = query(t, ts.URL, q, sr.Session)
+	}
+	muts := edge.Mutations()
+
+	load := "edge(d, e).\nmodule rev.\nexport rev(bf).\nrev(Y, X) :- edge(X, Y).\nend_module."
+	if code := post(t, ts.URL+"/load", LoadRequest{Program: load}, nil); code != http.StatusOK {
+		t.Fatalf("load: HTTP %d", code)
+	}
+	if !edge.HasIndex(1) {
+		t.Fatal("installing rev built no index on edge's second argument")
+	}
+	if edge.Mutations() != muts {
+		t.Errorf("the load counted as %d destructive changes to edge", edge.Mutations()-muts)
+	}
+	for i, q := range queries {
+		code, e := queryErr(t, ts.URL, q, sr.Session)
+		if code != http.StatusOK {
+			t.Fatalf("%s after the load: HTTP %d %q, want the snapshot still valid", q, code, e.Kind)
+		}
+		if after := query(t, ts.URL, q, sr.Session); fmt.Sprint(after.Tuples) != fmt.Sprint(before[i].Tuples) {
+			t.Errorf("%s: snapshot session drifted from %v to %v", q, before[i].Tuples, after.Tuples)
+		}
+	}
+	if live := query(t, ts.URL, "rev(e, X)", ""); len(live.Tuples) != 1 {
+		t.Errorf("live rev(e, X) = %v, want the loaded edge", live.Tuples)
+	}
+}
+
 func TestHealthzAndStats(t *testing.T) {
 	_, ts := newTestServer(t, testProgram, Options{})
 	h, err := getJSON(http.DefaultClient, ts.URL+"/healthz")
