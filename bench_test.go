@@ -442,45 +442,6 @@ func BenchmarkE16ConsultAndRun(b *testing.B) {
 	})
 }
 
-// BenchmarkE17JoinPlan measures the cost-based join planner (DESIGN.md
-// §5.10) on a cross-product-prone 3-literal rule: the written order joins
-// big1 × big2 (quadratic) before link constrains anything; the planned
-// order drives the join through link (linear). "off" is the pre-planner
-// written-order behavior, "on" the default.
-func BenchmarkE17JoinPlan(b *testing.B) {
-	var facts string
-	n := 180
-	for i := 0; i < n; i++ {
-		facts += fmt.Sprintf("big1(a%d, b%d).\nbig2(c%d, v%d).\n", i, i, i, i%4)
-	}
-	for i := 0; i < n; i += 8 {
-		facts += fmt.Sprintf("link(b%d, c%d).\n", i, i)
-	}
-	mod := `
-module m.
-export q(ff).
-@rewrite none.
-q(X, W) :- big1(X, Y), big2(Z, W), link(Y, Z).
-end_module.
-`
-	for _, mode := range []struct {
-		name     string
-		planning bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := benchSystem(b, facts+mod)
-				sys.JoinPlanning = mode.planning
-				benchCall(b, sys, "q", term.NewVar("X"), term.NewVar("W"))
-			}
-		})
-	}
-}
-
 // --- Ablation benchmarks: the design choices DESIGN.md calls out ---
 
 // Intelligent backtracking (paper §4.2): backjumping over positions that
@@ -584,212 +545,4 @@ func BenchmarkAblationDuplicateCheck(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkE19FlowOptimization prices the whole-program flow analysis'
-// optimizations on an all-free transitive closure (DESIGN.md §5.12): with
-// the analysis on, every reachable context calls tc free-free, so magic
-// rewriting is skipped and the pruned original rules evaluate directly;
-// off reproduces the pre-analysis compilation (magic filter admitting
-// everything). The module also carries a dead mutual-recursion cycle the
-// analysis prunes.
-func BenchmarkE19FlowOptimization(b *testing.B) {
-	facts := workload.RandomGraph(96, 240, 1)
-	mod := `
-module m.
-export tc(ff).
-tc(X, Y) :- edge(X, Y).
-tc(X, Y) :- tc(X, Z), edge(Z, Y).
-dead(X, Y) :- deader(X, Y), tc(X, Y).
-deader(X, Y) :- dead(X, Y).
-end_module.
-`
-	u, err := parser.Parse(facts + mod)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		flow bool
-	}{
-		{"off", false},
-		{"on", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// FlowOptimization must be set before AddModule: the
-				// per-form programs are compiled and cached there.
-				sys := engine.NewSystem()
-				sys.FlowOptimization = mode.flow
-				for _, f := range u.Facts {
-					benchBase(b, sys, f.Pred, len(f.Args)).Insert(relation.NewFact(f.Args, nil))
-				}
-				for _, m := range u.Modules {
-					if err := sys.AddModule(m); err != nil {
-						b.Fatal(err)
-					}
-				}
-				benchCall(b, sys, "tc", term.NewVar("X"), term.NewVar("Y"))
-			}
-		})
-	}
-}
-
-// BenchmarkE20ColdStartPlan prices planner cold-start seeding (DESIGN.md
-// §5.13) on a rule whose only selective literal is a module-call export:
-// q joins two unrelated base relations with ok/2, a tiny export that
-// keeps no live statistics. The cold planner without seeding prices ok/2
-// at the unknown-source default (2^20 rows) and schedules it last — a
-// big1 × big2 cross product probed through the module boundary. Seeding
-// prices ok/2 from the callee's static estimate (an exact passthrough of
-// linkbase/2, whose live count is known), so the very first plan drives
-// the join from it.
-func BenchmarkE20ColdStartPlan(b *testing.B) {
-	var facts string
-	n := 180
-	for i := 0; i < n; i++ {
-		facts += fmt.Sprintf("big1(a%d, b%d).\nbig2(c%d, v%d).\n", i, i, i, i%4)
-	}
-	for i := 0; i < n; i += 8 {
-		facts += fmt.Sprintf("linkbase(b%d, c%d).\n", i, i)
-	}
-	mods := `
-module tiny.
-export ok(ff).
-ok(Y, Z) :- linkbase(Y, Z).
-end_module.
-module outer.
-export q(ff).
-@rewrite none.
-q(X, W) :- big1(X, Y), big2(Z, W), ok(Y, Z).
-end_module.
-`
-	for _, mode := range []struct {
-		name    string
-		seeding bool
-	}{
-		{"unseeded", false},
-		{"seeded", true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sys := benchSystem(b, facts+mods)
-				sys.StaticSeeding = mode.seeding
-				benchCall(b, sys, "q", term.NewVar("X"), term.NewVar("W"))
-			}
-		})
-	}
-}
-
-// BenchmarkE21HashJoin compares nested-loops and hash access paths on
-// transitive closures dense enough for the planner to adopt the hash mark
-// (the deterministic gates are engine.TestPlannerPicksHashJoin and
-// engine.TestHashJoinAllocs). Both arms run the planner's build/probe marks
-// through lookupFor: in the right-linear rule every delta tuple probes the
-// full base relation; in the doubly recursive rule ("sym") each delta
-// version probes a table over the other recursive literal's range.
-// @no_indexing isolates the comparison: without it the optimizer plants a
-// persistent argIndex and both paths enumerate the same candidates.
-func BenchmarkE21HashJoin(b *testing.B) {
-	facts := workload.RandomGraph(48, 320, 11)
-	linear := `
-module m.
-export tc(ff).
-@rewrite none.
-@no_indexing.
-tc(X, Y) :- edge(X, Y).
-tc(X, Y) :- tc(X, Z), edge(Z, Y).
-end_module.
-`
-	sym := `
-module m.
-export p(ff).
-@rewrite none.
-@no_indexing.
-p(X, Y) :- edge(X, Y).
-p(X, Y) :- p(X, Z), p(Z, Y).
-end_module.
-`
-	for _, w := range []struct {
-		name, mod, pred string
-	}{
-		{"linear", linear, "tc"},
-		{"sym", sym, "p"},
-	} {
-		for _, mode := range []struct {
-			name string
-			hash bool
-		}{
-			{"nestedloops", false},
-			{"hash", true},
-		} {
-			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sys := benchSystem(b, facts+w.mod)
-					sys.HashJoins = mode.hash
-					benchCall(b, sys, w.pred, term.NewVar("X"), term.NewVar("Y"))
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkE22Bytecode measures compiling rule bodies to
-// adornment-specialized register bytecode (DESIGN.md §5.15) against the
-// nested-loops interpreter, toggled per arm via System.Bytecode on
-// otherwise identical systems — answers are byte-identical by
-// construction (the differential suite in internal/engine pins it).
-//
-// reach is the E05 reachability closure: two-literal rules the hash-join
-// marks already serve, so the bytecode margin there is small
-// and honest. spath is E05 shortest path under an aggregate selection.
-// arith is the workload the machine exists for — a three-literal
-// recursion with an arithmetic assignment and a bound comparison per
-// candidate, where the interpreter walks terms, allocates environment
-// bindings and re-classifies the expression for every tuple while the
-// machine runs flat opcodes over unboxed integers.
-func BenchmarkE22Bytecode(b *testing.B) {
-	reachFacts := workload.WeightedGraph(48, 192, 10, 48)
-	spathFacts := workload.WeightedGraph(24, 96, 10, 24)
-	arithFacts := workload.WeightedGraph(32, 640, 10, 22)
-	arith := `
-module m.
-export cost(fff).
-@rewrite none.
-cost(X, Y, C) :- edge(X, Y, W), C = W.
-cost(X, Y, C) :- cost(X, Z, C1), edge(Z, Y, W), C = C1 + W, C < 16.
-end_module.
-`
-	workloads := []struct {
-		name, src, pred string
-		args            []term.Term
-	}{
-		{"reach", reachFacts + workload.ReachModule(""), "reach",
-			[]term.Term{term.NewVar("X"), term.NewVar("Y")}},
-		{"spath", spathFacts + workload.ShortestPathModule("@ordered_search."), "s_p",
-			[]term.Term{term.Int(0), term.NewVar("Y"), term.NewVar("P"), term.NewVar("C")}},
-		{"arith", arithFacts + arith, "cost",
-			[]term.Term{term.NewVar("X"), term.NewVar("Y"), term.NewVar("C")}},
-	}
-	for _, w := range workloads {
-		for _, mode := range []struct {
-			name string
-			bc   bool
-		}{
-			{"interp", false},
-			{"bytecode", true},
-		} {
-			b.Run(w.name+"/"+mode.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					sys := benchSystem(b, w.src)
-					sys.Bytecode = mode.bc
-					benchCall(b, sys, w.pred, w.args...)
-				}
-			})
-		}
-	}
 }

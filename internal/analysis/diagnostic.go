@@ -84,12 +84,12 @@ const (
 	// CheckCrossProduct: a positive body literal shares no variables with
 	// the literals before it, so the written order joins a full cross
 	// product. The runtime join planner reorders it away, but the written
-	// order is what every planner-off path (tracing, Ordered Search,
-	// SetJoinPlanning(false)) evaluates.
+	// order is what traced and Ordered Search evaluations run.
 	CheckCrossProduct = "cross-product"
 	// CheckUnreachableRule (interprocedural, analysis/flow): a predicate is
 	// defined and referenced, but no exported query form reaches it — its
-	// rules are dead code the optimizer will prune. Complements unused-pred,
+	// rules are dead code (magic rewriting drops them; under @rewrite none
+	// they are still evaluated). Complements unused-pred,
 	// which only sees predicates referenced nowhere (a dead mutual-recursion
 	// cycle references all of its members).
 	CheckUnreachableRule = "unreachable-rule"

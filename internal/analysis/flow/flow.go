@@ -100,16 +100,6 @@ func AllFree(arity int) string {
 	return string(b)
 }
 
-// AllFreeAdorn reports whether every letter of an adornment is 'f'.
-func AllFreeAdorn(adorn string) bool {
-	for i := 0; i < len(adorn); i++ {
-		if adorn[i] != 'f' {
-			return false
-		}
-	}
-	return true
-}
-
 // AllBoundAdorn reports whether every letter of an adornment is 'b'.
 func AllBoundAdorn(adorn string) bool {
 	for i := 0; i < len(adorn); i++ {

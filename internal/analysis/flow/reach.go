@@ -12,8 +12,9 @@ import (
 // starting at the query form, computing for every reachable context the
 // scheduled rule bodies and the adornment of each derived call under
 // left-to-right sideways information passing. The rewriter's Adorn is a
-// renaming pass over this result, and the engine prunes unreachable rules
-// from it — one traversal, one source of truth.
+// renaming pass over this result, and the cardinality analysis refines
+// its growth findings per reachable context — one traversal, one source
+// of truth.
 
 // ReachOpts tunes the traversal.
 type ReachOpts struct {
@@ -50,29 +51,6 @@ type Reachable struct {
 	Derived map[ast.PredKey]bool
 	// AggPos records aggregated head positions per predicate.
 	AggPos map[ast.PredKey]map[int]bool
-}
-
-// Preds returns the set of reachable predicates. Predicate-level
-// reachability is adornment-independent: every context of a predicate
-// visits the same rule bodies.
-func (rb *Reachable) Preds() map[ast.PredKey]bool {
-	out := make(map[ast.PredKey]bool, len(rb.Order))
-	for _, c := range rb.Order {
-		out[c.Pred] = true
-	}
-	return out
-}
-
-// AllFreeContexts reports whether every reachable context (including the
-// query) is all-free — the case where magic rewriting degenerates to
-// computing full extents and can be skipped.
-func (rb *Reachable) AllFreeContexts() bool {
-	for _, c := range rb.Order {
-		if !AllFreeAdorn(c.Adorn) {
-			return false
-		}
-	}
-	return true
 }
 
 // Reach runs the traversal for query form (query, adorn).

@@ -52,7 +52,6 @@ func (me *matEval) evalAggRule(c *Compiled) (err error) {
 		Body:     c.Body,
 		NVars:    c.NVars,
 		Line:     c.Line,
-		SeedPos:  c.SeedPos,
 	}
 	tuples := relation.NewHashRelation("$agg", len(synthArgs))
 	err = me.ev.evalRule(synth, fullRanges, func(f Fact) bool {

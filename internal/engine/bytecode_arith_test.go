@@ -16,7 +16,7 @@ import (
 // arithmetic on either, both, and neither side, functor match programs
 // with repeated variables, and a negation probe. One export, tagged
 // tuples, no magic rewriting — so every rule compiles and runs on the
-// machine when Bytecode is on.
+// machine unless the noBytecode hook is set.
 const bcEdgeSrc = `
 big(4611686018427387904).
 seven(7).
@@ -126,7 +126,7 @@ func TestBytecodeRuntimeErrorParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("load: %v", err)
 				}
-				sys.Bytecode = bc
+				sys.noBytecode = !bc
 				key := ast.PredKey{Name: "q", Arity: 1}
 				def, ok := sys.Export(key)
 				if !ok {

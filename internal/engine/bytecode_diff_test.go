@@ -20,7 +20,7 @@ func bcRun(t *testing.T, src, pred string, arity int, bc bool) []string {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.Bytecode = bc
+	sys.noBytecode = !bc
 	return answersInOrder(t, sys, pred, arity)
 }
 
@@ -51,7 +51,7 @@ func TestBytecodeDifferentialRandom(t *testing.T) {
 
 // TestBytecodeDifferentialOrderedSearch covers the Ordered Search
 // fixpoint, where bytecode is auto-disabled (magic-fact attribution reads
-// live rule environments): the toggle must be a no-op there.
+// live rule environments): the hook must be a no-op there.
 func TestBytecodeDifferentialOrderedSearch(t *testing.T) {
 	src := workload.WinGameMoves(18, 2, 3, 7) + workload.WinModule("@ordered_search.")
 	run := func(bc bool) []string {
@@ -59,7 +59,7 @@ func TestBytecodeDifferentialOrderedSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Bytecode = bc
+		sys.noBytecode = !bc
 		key := ast.PredKey{Name: "win", Arity: 1}
 		def, ok := sys.Export(key)
 		if !ok {
@@ -85,7 +85,7 @@ func TestBytecodeDifferentialOrderedSearch(t *testing.T) {
 }
 
 // TestBytecodeDifferentialPipelined covers the pipelined evaluator, which
-// never routes through evalRule: the toggle must not disturb its answers.
+// never routes through evalRule: the hook must not disturb its answers.
 func TestBytecodeDifferentialPipelined(t *testing.T) {
 	src := workload.Chain(24) + workload.TCModule("@pipelining.")
 	base := bcRun(t, src, "tc", 2, false)
@@ -121,9 +121,9 @@ end_module.
 	}
 }
 
-// TestBytecodeEngages pins that the toggle actually routes applications
-// through the machine — a differential suite over a path that silently
-// fell back to the interpreter would test nothing.
+// TestBytecodeEngages pins that the machine actually runs rule
+// applications — a differential suite over a path that silently fell back
+// to the interpreter would test nothing.
 func TestBytecodeEngages(t *testing.T) {
 	src := workload.RandomGraph(12, 30, 3) + `
 module m.
@@ -138,7 +138,7 @@ end_module.
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.Bytecode = bc
+		sys.noBytecode = !bc
 		stats, err := sys.MeasureCall(ast.PredKey{Name: "tc", Arity: 2},
 			[]term.Term{term.NewVar("X"), term.NewVar("Y")})
 		if err != nil {
@@ -148,7 +148,7 @@ end_module.
 	}
 	off := measure(false)
 	if off.BytecodeRuns != 0 {
-		t.Errorf("bytecode counter non-zero with the toggle off: %+v", off)
+		t.Errorf("bytecode counter non-zero with bytecode off: %+v", off)
 	}
 	on := measure(true)
 	if on.BytecodeRuns == 0 {

@@ -31,8 +31,8 @@ import (
 type cardResult = card.Result
 
 // staticSeeder lazily computes the cardinality analysis for one program.
-// It is created per evaluation (ModuleDef.Call) when System.StaticSeeding
-// is on, and computes on first use — an evaluation whose plans never hit a
+// It is created per evaluation (ModuleDef.Call) unless the noStaticSeeding
+// test hook is set, and computes on first use — an evaluation whose plans never hit a
 // cold or statistics-free source pays nothing.
 type staticSeeder struct {
 	sys  *System
@@ -41,9 +41,10 @@ type staticSeeder struct {
 	done bool
 }
 
-// seederFor builds the seeder for one call, or nil when seeding is off.
+// seederFor builds the seeder for one call, or nil under the
+// noStaticSeeding test hook.
 func (sys *System) seederFor(prog *Program) *staticSeeder {
-	if !sys.StaticSeeding {
+	if sys.noStaticSeeding {
 		return nil
 	}
 	return &staticSeeder{sys: sys, prog: prog}

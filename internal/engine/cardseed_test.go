@@ -14,7 +14,7 @@ import (
 )
 
 // seedRun loads src with static seeding forced on or off and returns the
-// sorted answers of pred/arity. The toggle must be set before the call:
+// sorted answers of pred/arity. The hook must be set before the call:
 // the seeder attaches per evaluation. Like planner on/off, seeding may
 // change the enumeration order (it changes the chosen plans), never the
 // answer set.
@@ -24,7 +24,7 @@ func seedRun(t *testing.T, src, pred string, arity int, seeding bool) []string {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.StaticSeeding = seeding
+	sys.noStaticSeeding = !seeding
 	return answersSorted(t, sys, pred, arity)
 }
 
@@ -75,7 +75,7 @@ func TestSeedDifferentialModes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		sys.StaticSeeding = seeding
+		sys.noStaticSeeding = !seeding
 		return ask(t, sys, query)
 	}
 	for _, c := range cases {
@@ -188,7 +188,7 @@ func TestBudgetHintStaticBound(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load: %v", err)
 		}
-		sys.StaticSeeding = seeding
+		sys.noStaticSeeding = !seeding
 		sys.Budget = Budget{MaxIterations: 2}
 		_, err = askErr(sys, "tc(A, B)")
 		if err == nil {

@@ -103,10 +103,6 @@ type Compiled struct {
 	// RecPositions lists body indexes of recursive relation items, i.e.
 	// the positions that take the delta role in semi-naive versions.
 	RecPositions []int
-	// SeedPos is the body index of the magic-seed literal — the carrier of
-	// the query form's inferred call bindings — or -1. Full-extent plan
-	// versions seed their join schedule from it (plan.go).
-	SeedPos int
 }
 
 // String renders the compiled rule for debugging and the rewritten-program
@@ -179,7 +175,6 @@ func CompileRule(r *ast.Rule, recursive func(ast.PredKey) bool) (*Compiled, erro
 		HeadPred: r.Head.Key(),
 		HeadArgs: c.rebuildArgs(r.Head.Args),
 		Line:     r.Line,
-		SeedPos:  -1,
 	}
 	boundVars := make(map[int]bool) // env slots bound before the current item
 	markBound := func(args []term.Term) {

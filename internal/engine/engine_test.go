@@ -996,8 +996,8 @@ end_module.
 	reordered := buildSystem(t, facts+mod("@reorder."))
 	// The comparison measures the compile-time @reorder annotation alone;
 	// the runtime join planner would reorder the plain arm too.
-	plain.JoinPlanning = false
-	reordered.JoinPlanning = false
+	plain.noJoinPlanning = true
+	reordered.noJoinPlanning = true
 	a := ask(t, plain, "q(3)")
 	b := ask(t, reordered, "q(3)")
 	if strings.Join(a, ";") != strings.Join(b, ";") {

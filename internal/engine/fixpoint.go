@@ -46,7 +46,7 @@ type matEval struct {
 
 	// seed supplies static cardinality estimates where live statistics are
 	// absent or cold, and the round-bound hint for iteration-budget aborts
-	// (cardseed.go); nil when System.StaticSeeding is off.
+	// (cardseed.go); nil under the noStaticSeeding test hook.
 	seed *staticSeeder
 
 	// sharedRO marks an evaluation running concurrently with others over

@@ -64,7 +64,7 @@ func TestFixpointStrategiesAgreeRandom(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			sys.JoinPlanning = planning
+			sys.noJoinPlanning = !planning
 			out := map[string][]string{"p0": answersInOrder(t, sys, "p0", 2)}
 			for _, pred := range []string{"q0", "agg0"} {
 				if _, ok := sys.Export(ast.PredKey{Name: pred, Arity: 2}); ok {

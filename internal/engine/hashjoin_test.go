@@ -22,7 +22,7 @@ func hashRun(t *testing.T, src, pred string, arity int, hash bool) []string {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.HashJoins = hash
+	sys.noHashJoins = !hash
 	return answersInOrder(t, sys, pred, arity)
 }
 
@@ -60,7 +60,7 @@ func TestHashJoinDifferentialOrderedSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.HashJoins = hash
+		sys.noHashJoins = !hash
 		key := ast.PredKey{Name: "win", Arity: 1}
 		def, ok := sys.Export(key)
 		if !ok {
@@ -86,7 +86,7 @@ func TestHashJoinDifferentialOrderedSearch(t *testing.T) {
 }
 
 // TestHashJoinDifferentialPipelined covers the pipelined evaluator: the
-// toggle must be a no-op there (pipelining is tuple-at-a-time top-down),
+// hook must be a no-op there (pipelining is tuple-at-a-time top-down),
 // and in particular must not disturb its answers.
 func TestHashJoinDifferentialPipelined(t *testing.T) {
 	src := workload.Chain(24) + workload.TCModule("@pipelining.")
@@ -106,7 +106,7 @@ func hashMeasure(t *testing.T, src, pred string, hash bool) RunStats {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.HashJoins = hash
+	sys.noHashJoins = !hash
 	stats, err := sys.MeasureCall(ast.PredKey{Name: pred, Arity: 2},
 		[]term.Term{term.NewVar("X"), term.NewVar("Y")})
 	if err != nil {
@@ -140,7 +140,7 @@ end_module.
 		t.Fatalf("hash joins changed the answer count: on %d, off %d", on.Answers, off.Answers)
 	}
 	if off.HashJoinBuilds != 0 || off.HashJoinProbes != 0 {
-		t.Errorf("hash counters non-zero with the toggle off: %+v", off)
+		t.Errorf("hash counters non-zero with hash joins off: %+v", off)
 	}
 	if on.HashJoinBuilds == 0 || on.HashJoinProbes == 0 {
 		t.Fatalf("planner never adopted the hash path: %+v", on)
@@ -157,22 +157,14 @@ end_module.
 // loads a fresh System and drains p/2 all-free under sequential BSN, so
 // the count is the benchmark's allocs/op.
 func TestHashJoinAllocs(t *testing.T) {
-	src := workload.RandomGraph(48, 320, 11) + `
-module m.
-export p(ff).
-@rewrite none.
-@no_indexing.
-p(X, Y) :- edge(X, Y).
-p(X, Y) :- p(X, Z), p(Z, Y).
-end_module.
-`
+	src := workload.RandomGraph(48, 320, 11) + doubleModule
 	allocs := func(hash bool) float64 {
 		return testing.AllocsPerRun(2, func() {
 			sys, err := LoadSystem(src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys.HashJoins = hash
+			sys.noHashJoins = !hash
 			if _, err := drainCall(sys, "p", 2, nil); err != nil {
 				t.Fatal(err)
 			}

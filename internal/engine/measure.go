@@ -25,14 +25,14 @@ type RunStats struct {
 	FactsStored int
 	// HashJoinBuilds counts transient join build tables constructed, and
 	// HashJoinProbes the scans served from one (hash-join access paths,
-	// hashjoin.go). Both are 0 when HashJoins is off or the planner never
-	// found a profitable mark.
+	// hashjoin.go). Both are 0 when the planner found no profitable mark
+	// (or is bypassed: traced and Ordered Search evaluations).
 	HashJoinBuilds int
 	HashJoinProbes int
 	// BytecodeRuns counts rule applications executed by the register
-	// bytecode machine (bytecode.go); 0 when Bytecode is off, every rule
-	// is outside the compiled fragment, or every application's runtime
-	// prologue declined.
+	// bytecode machine (bytecode.go); 0 when the evaluation is traced or
+	// under Ordered Search, every rule is outside the compiled fragment, or
+	// every application's runtime prologue declined.
 	BytecodeRuns int
 }
 

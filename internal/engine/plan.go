@@ -255,12 +255,6 @@ func (me *matEval) fitPlan(c *Compiled, delta int, stats []relation.Stats) *Comp
 		// version's smallest scan.
 		schedule(delta)
 		flush()
-	} else if c.SeedPos >= 0 && !scheduled[c.SeedPos] {
-		// Full-extent version: seed from the magic literal, which carries
-		// the query form's inferred call bindings (flow analysis) — the
-		// bound positions it binds make every later scan indexed.
-		schedule(c.SeedPos)
-		flush()
 	}
 	for {
 		best, bestCost := -1, 0.0
@@ -486,7 +480,6 @@ func buildPlanned(c *Compiled, order []int) *Compiled {
 		Aggs:     c.Aggs,
 		NVars:    c.NVars,
 		Line:     c.Line,
-		SeedPos:  c.SeedPos,
 		Body:     make([]CItem, len(order)),
 	}
 	boundVars := make(map[int]bool)

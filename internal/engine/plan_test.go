@@ -27,7 +27,7 @@ func planRun(t *testing.T, src, pred string, arity int, planning bool) []string 
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	sys.JoinPlanning = planning
+	sys.noJoinPlanning = !planning
 	return answersSorted(t, sys, pred, arity)
 }
 
@@ -308,7 +308,7 @@ end_module.
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys.JoinPlanning = planning
+		sys.noJoinPlanning = !planning
 		stats, err := sys.MeasureCall(ast.PredKey{Name: "q", Arity: 2},
 			[]term.Term{term.NewVar("X"), term.NewVar("W")})
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"coral/internal/analysis/flow"
 	"coral/internal/ast"
 	"coral/internal/relation"
 	"coral/internal/rewrite"
@@ -99,21 +98,15 @@ type Stratum struct {
 // module's annotations, compilation to internal form, stratification, and
 // index planning.
 func BuildProgram(mod *ast.Module, query ast.PredKey, adorn string) (*Program, error) {
-	return buildProgram(mod, query, adorn, nil, true)
+	return buildProgram(mod, query, adorn, nil)
 }
 
-// BuildProgramMasked additionally applies existential query rewriting for a
-// call that observes only the positions where mask is true (paper §4.1:
-// existential rewriting is applied by default in conjunction with a
-// selection-pushing rewriting). A nil mask observes everything.
-func BuildProgramMasked(mod *ast.Module, query ast.PredKey, adorn string, mask []bool) (*Program, error) {
-	return buildProgram(mod, query, adorn, mask, true)
-}
-
-// buildProgram is the optimizer behind the exported entry points. flowOpt
-// gates the flow-analysis-driven optimizations (System.FlowOptimization):
-// rule pruning, skip-magic, and planner seed positions.
-func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool, flowOpt bool) (*Program, error) {
+// buildProgram is the optimizer behind BuildProgram. A non-nil mask
+// additionally applies existential query rewriting for a call that
+// observes only the positions where mask is true (paper §4.1: existential
+// rewriting is applied by default in conjunction with a selection-pushing
+// rewriting).
+func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool) (*Program, error) {
 	ann := mod.Ann
 	rewriting := ann.Rewriting
 	if rewriting == "" {
@@ -153,15 +146,6 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 	switch rewriting {
 	case "none":
 		rules = mod.Rules
-		if flowOpt {
-			// Prune rules unreachable from the query form before fixpoint
-			// setup. Reach errors (query not defined by the module, wrong
-			// adornment length) keep the old tolerance: evaluate everything.
-			if rb, err := flow.Reach(mod.Rules, query, adorn,
-				rewrite.ReachOpts(rewrite.AdornOptions{NegFree: !ann.OrderedSearch})); err == nil {
-				rules = pruneRules(mod.Rules, rb.Preds())
-			}
-		}
 		if ann.Reorder {
 			rules = rewrite.ReorderRules(rules)
 		}
@@ -170,29 +154,11 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 			p.OrigName[r.Head.Key()] = r.Head.Key().Name
 		}
 	case "magic", "supmagic", "factoring":
-		rb, err := flow.Reach(mod.Rules, query, adorn,
-			rewrite.ReachOpts(rewrite.AdornOptions{NegFree: !ann.OrderedSearch, Reorder: ann.Reorder}))
+		adorned, err := rewrite.Adorn(mod.Rules, query, adorn,
+			rewrite.AdornOptions{NegFree: !ann.OrderedSearch, Reorder: ann.Reorder})
 		if err != nil {
 			return nil, err
 		}
-		if flowOpt && rewriting != "factoring" && !ann.OrderedSearch && !ann.SaveModule &&
-			rb.AllFreeContexts() {
-			// Every reachable context is all-free, so magic rewriting would
-			// only compute full extents with seed bookkeeping on top.
-			// Evaluate the pruned original rules directly instead (the
-			// existential mask is ignored here: projection is an
-			// optimization, and an all-free program is the cheap case).
-			rules = pruneRules(mod.Rules, rb.Preds())
-			if ann.Reorder {
-				rules = rewrite.ReorderRules(rules)
-			}
-			p.QueryPred = query
-			for _, r := range mod.Rules {
-				p.OrigName[r.Head.Key()] = r.Head.Key().Name
-			}
-			break
-		}
-		adorned := rewrite.AdornFromReach(rb)
 		if mask != nil && !ann.NoExistential && rewriting != "factoring" {
 			projected := rewrite.Exists(adorned, mask)
 			if projected != adorned {
@@ -409,42 +375,10 @@ func buildProgram(mod *ast.Module, query ast.PredKey, adorn string, mask []bool,
 		}
 	}
 
-	// Seed positions for the join planner: the magic literal of a rewritten
-	// rule carries the query's inferred call bindings, so full-extent rule
-	// versions (delta < 0) seed their schedule from it instead of a blind
-	// greedy pick (plan.go).
-	if flowOpt && len(p.MagicPreds) > 0 {
-		for _, st := range p.Strata {
-			for _, group := range [][]*Compiled{st.ExitRules, st.RecRules, st.AggRules} {
-				for _, c := range group {
-					for i := range c.Body {
-						if c.Body[i].Kind == ItemRel && p.MagicPreds[c.Body[i].Pred] {
-							c.SeedPos = i
-							break
-						}
-					}
-				}
-			}
-		}
-	}
-
 	p.planIndexes()
 	p.RewrittenText = renderRules(mod.Name, rules)
 	p.RewrittenRules = rules
 	return p, nil
-}
-
-// pruneRules drops rules whose head predicate is unreachable from the query
-// form. Predicate-level reachability is adornment-independent, so the same
-// rule bodies survive for every binding pattern.
-func pruneRules(rules []*ast.Rule, reach map[ast.PredKey]bool) []*ast.Rule {
-	out := make([]*ast.Rule, 0, len(rules))
-	for _, r := range rules {
-		if reach[r.Head.Key()] {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // OrigName_arity finds the arity of a predicate name in the rule set (for

@@ -41,51 +41,32 @@ type System struct {
 	// read-only evaluations (View) never create an index on a shared
 	// relation.
 	baseIdx map[ast.PredKey][][]int // guarded_by(mu)
-	// AutoDefineBase controls whether referencing an unknown predicate
-	// creates an empty base relation (convenient interactively) or errors.
-	// unguarded: configuration, set before the system serves concurrent
-	// callers (the epoch fence in serve keeps writers out of evaluations).
-	AutoDefineBase bool
-	// JoinPlanning enables the cost-based join planner (plan.go), on by
-	// default. When false every rule body is evaluated in its written
-	// order, preserving the pre-planner behavior byte for byte. Ordered
-	// Search and traced evaluations always use the written order.
-	// unguarded: configuration, set before concurrent use.
-	JoinPlanning bool
-	// HashJoins enables hash-join access paths (hashjoin.go), on by
-	// default: the planner serves repeated probes of a body literal from a
-	// transient build table pre-sized from live statistics instead of
-	// per-probe index lookups. It additionally requires JoinPlanning (the
-	// planner places the marks). On and off produce identical answer sets,
-	// byte for byte.
-	// unguarded: configuration, set before concurrent use.
-	HashJoins bool
-	// FlowOptimization enables the optimizations fed by the whole-program
-	// flow analysis (analysis/flow), on by default: pruning rules
-	// unreachable from the query form, skipping magic rewriting when every
-	// reachable context is all-free, and seeding the join planner from
-	// magic literals (the carriers of inferred call bindings). When false
-	// programs are built exactly as before the analysis existed.
-	// unguarded: configuration, set before concurrent use.
-	FlowOptimization bool
-	// Bytecode compiles eligible rule bodies to adornment-specialized
-	// register bytecode (bytecode.go), on by default: the join loop runs
-	// flat opcode streams over a register file instead of interpreting
-	// CItem structures per candidate tuple, with unboxed integer
-	// arithmetic. Traced and Ordered Search evaluations always use the
-	// interpreter. On and off produce identical answers, byte for byte.
-	// unguarded: configuration, set before concurrent use.
-	Bytecode bool
-	// StaticSeeding feeds the join planner compile-time cardinality
-	// estimates (analysis/card) as a prior, on by default: body sources
-	// whose live statistics are absent (module calls, computed relations)
-	// or still empty (derived relations before their first fixpoint round)
-	// are priced from static bounds instead of blind defaults, and
-	// iteration-budget aborts carry the statically proven round bound as a
-	// hint. Live statistics take over as relations fill (plan drift
-	// invalidation). On and off produce identical answer sets.
-	// unguarded: configuration, set before concurrent use.
-	StaticSeeding bool
+	// The no* fields are test hooks: their zero value is the production
+	// setting, and only tests set them, to run the reference arm of a
+	// differential suite or an ablation benchmark (this package's suites,
+	// and serve's TestDifferentialServing, which writes noHashJoins and
+	// noBytecode by reflection). The
+	// off paths cost nothing extra: traced and Ordered Search evaluations
+	// run without the planner (so without hash marks or seeding) and on
+	// the interpreter anyway.
+	//
+	// noJoinPlanning evaluates every rule body in its written order
+	// instead of the cost-based join planner's (plan.go).
+	// unguarded: test configuration, set before concurrent use.
+	noJoinPlanning bool
+	// noHashJoins drops the planner's hash-join marks (hashjoin.go), so
+	// repeated probes go through per-probe index lookups.
+	// unguarded: test configuration, set before concurrent use.
+	noHashJoins bool
+	// noBytecode runs every rule body on the interpreter instead of the
+	// register bytecode machine (bytecode.go).
+	// unguarded: test configuration, set before concurrent use.
+	noBytecode bool
+	// noStaticSeeding withholds the compile-time cardinality estimates
+	// (analysis/card) from the planner and from iteration-budget aborts
+	// (cardseed.go).
+	// unguarded: test configuration, set before concurrent use.
+	noStaticSeeding bool
 	// Ctx, when non-nil, is polled during evaluation; cancellation aborts
 	// the running call with an *AbortError. The single-user interactive
 	// system makes a stored context the natural shape: the REPL arms it
@@ -103,16 +84,10 @@ type System struct {
 // NewSystem creates an empty system.
 func NewSystem() *System {
 	return &System{
-		base:             make(map[ast.PredKey]relation.Relation),
-		exports:          make(map[ast.PredKey]*ModuleDef),
-		modules:          make(map[string]*ModuleDef),
-		baseIdx:          make(map[ast.PredKey][][]int),
-		AutoDefineBase:   true,
-		JoinPlanning:     true,
-		HashJoins:        true,
-		FlowOptimization: true,
-		Bytecode:         true,
-		StaticSeeding:    true,
+		base:    make(map[ast.PredKey]relation.Relation),
+		exports: make(map[ast.PredKey]*ModuleDef),
+		modules: make(map[string]*ModuleDef),
+		baseIdx: make(map[ast.PredKey][][]int),
 	}
 }
 
@@ -316,7 +291,7 @@ func (sys *System) AddModule(m *ast.Module) error {
 				if _, ok := def.progs[formKey(e.Pred, form)]; ok {
 					continue
 				}
-				prog, err := buildProgram(m, key, form, nil, sys.FlowOptimization)
+				prog, err := buildProgram(m, key, form, nil)
 				if err != nil {
 					return fmt.Errorf("module %s, query form %s(%s): %w", m.Name, e.Pred, form, err)
 				}
@@ -404,7 +379,9 @@ func formKey(pred, form string) string { return pred + "/" + form }
 
 // external builds the source resolver for module evaluation: base
 // relations, then other modules' exports (an inter-module call per lookup,
-// paper §5.6), then auto-defined empty base relations.
+// paper §5.6). Any other predicate is defined on first reference as an
+// empty base relation, so a rule may read a relation before its facts are
+// loaded.
 func (sys *System) external(key ast.PredKey) (Source, error) {
 	sys.mu.RLock()
 	r, isBase := sys.base[key]
@@ -416,16 +393,13 @@ func (sys *System) external(key ast.PredKey) (Source, error) {
 	if isExport {
 		return &moduleCallSource{def: def, pred: key}, nil
 	}
-	if sys.AutoDefineBase {
-		// BaseRelation retakes the lock in write mode; two concurrent
-		// auto-defines of the same predicate converge on one relation.
-		r, err := sys.BaseRelation(key.Name, key.Arity)
-		if err != nil {
-			return nil, err
-		}
-		return relSource{r}, nil
+	// BaseRelation retakes the lock in write mode; two concurrent
+	// auto-defines of the same predicate converge on one relation.
+	r, err := sys.BaseRelation(key.Name, key.Arity)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("engine: unknown predicate %s", key)
+	return relSource{r}, nil
 }
 
 // relSource adapts relation.Relation to Source.
@@ -582,12 +556,14 @@ func (def *ModuleDef) callSaved(cfg callCfg, prog *Program, pred ast.PredKey, fo
 	return scan, nil
 }
 
-// configureEval re-applies the system toggles and the caller's guard to an
-// evaluation — on every call, so saved evaluations follow later changes.
+// configureEval re-applies the evaluation mechanisms (planner, hash marks,
+// bytecode, static seeding; off only under the test hooks) and the
+// caller's guard to an evaluation — on every call, so a saved evaluation
+// resumed under a different guard obeys the new one.
 func (def *ModuleDef) configureEval(me *matEval, cfg callCfg, prog *Program) {
-	me.planning = def.sys.JoinPlanning
-	me.hashing = def.sys.HashJoins
-	me.ev.bytecode = def.sys.Bytecode && me.ctx == nil
+	me.planning = !def.sys.noJoinPlanning
+	me.hashing = !def.sys.noHashJoins
+	me.ev.bytecode = !def.sys.noBytecode && me.ctx == nil
 	me.seed = def.sys.seederFor(prog)
 	me.sharedRO = cfg.sharedRO
 	me.setGuard(cfg.guard())
@@ -668,7 +644,7 @@ func (def *ModuleDef) progForCall(pred ast.PredKey, form string, args []term.Ter
 	def.mu.Unlock()
 	// Compile outside the lock (two racing callers may both build; the
 	// first store wins and the duplicate is dropped).
-	p, err := buildProgram(def.Src, pred, form, mask, def.sys.FlowOptimization)
+	p, err := buildProgram(def.Src, pred, form, mask)
 	if err != nil {
 		// Projection is an optimization; fall back to the base program.
 		return base, nil
@@ -852,7 +828,7 @@ func (sys *System) Query(body []ast.Literal) (vars []string, facts []Fact, err e
 	}
 	st := newStore(sys.external, nil)
 	guard := sys.newGuard()
-	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: sys.Bytecode}
+	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: !sys.noBytecode}
 	if guard.active() {
 		ev.guard = &guard
 	}

@@ -233,7 +233,7 @@ func (v *View) Query(body []ast.Literal) (vars []string, facts []Fact, stats Run
 	}
 	st := newStore(v.externalWith(acc), nil)
 	guard := v.newGuard()
-	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: v.sys.Bytecode}
+	ev := &evaluator{st: st, IntelligentBacktracking: true, bytecode: !v.sys.noBytecode}
 	if guard.active() {
 		ev.guard = &guard
 	}

@@ -15,8 +15,7 @@ import (
 // strategy).
 //
 // The reachability walk itself lives in analysis/flow.Reach — shared with
-// the abstract interpreter and the engine's rule pruning — and Adorn is a
-// renaming pass over its result: each reachable (predicate, adornment)
+// the abstract interpreter — and Adorn is a renaming pass over its result: each reachable (predicate, adornment)
 // context becomes a predicate named orig_adornment (e.g. ancestor_bf); base
 // and imported predicates are never adorned.
 
@@ -67,9 +66,9 @@ type AdornOptions struct {
 	Reorder bool
 }
 
-// ReachOpts translates adornment options for flow.Reach, wiring in the
+// reachOpts translates adornment options for flow.Reach, wiring in the
 // rewriter's join order selection when Reorder is set.
-func ReachOpts(opts AdornOptions) flow.ReachOpts {
+func reachOpts(opts AdornOptions) flow.ReachOpts {
 	ro := flow.ReachOpts{NegFree: opts.NegFree}
 	if opts.Reorder {
 		ro.Reorder = func(body []ast.Literal, bound map[*term.Var]bool) []ast.Literal {
@@ -83,17 +82,10 @@ func ReachOpts(opts AdornOptions) flow.ReachOpts {
 // positions are forced free: the aggregate's value cannot be propagated
 // into the body as a binding.
 func Adorn(rules []*ast.Rule, query ast.PredKey, adorn string, opts AdornOptions) (*Adorned, error) {
-	rb, err := flow.Reach(rules, query, adorn, ReachOpts(opts))
+	rb, err := flow.Reach(rules, query, adorn, reachOpts(opts))
 	if err != nil {
 		return nil, err
 	}
-	return AdornFromReach(rb), nil
-}
-
-// AdornFromReach renames an already-computed reachability result into the
-// adorned program, letting callers that also need the raw traversal (the
-// engine's rule pruning, the flow analyzer) run it once.
-func AdornFromReach(rb *flow.Reachable) *Adorned {
 	a := &Adorned{
 		Preds:     make(map[string]AdornedPred, len(rb.Order)),
 		Derived:   rb.Derived,
@@ -118,7 +110,7 @@ func AdornFromReach(rb *flow.Reachable) *Adorned {
 			a.Rules = append(a.Rules, ar)
 		}
 	}
-	return a
+	return a, nil
 }
 
 // varSet tracks bound variables by object identity.

@@ -3,17 +3,19 @@ package serve
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"coral"
 	"coral/internal/workload"
 )
 
-// Differential serving test: for every fixpoint strategy and engine
-// toggle combination, concurrent clients hammering a shared server must
-// get exactly the answers a fresh single-threaded coral.System computes
-// for the same program — concurrency, snapshot sessions, hash joins and
+// Differential serving test: for every fixpoint strategy and hash-join /
+// bytecode arm, concurrent clients hammering a shared server must get
+// exactly the answers a fresh single-threaded coral.System computes for
+// the same program — concurrency, snapshot sessions, hash joins and
 // bytecode must not change one tuple.
 
 // diffQueries mixes bound and free recursive queries with base joins.
@@ -28,8 +30,8 @@ func diffQueries() []string {
 }
 
 // referenceAnswers evaluates the queries on a fresh single-threaded
-// system with default toggles — the canonical answer set every serving
-// configuration is held to.
+// system — the canonical answer set every serving configuration is held
+// to.
 func referenceAnswers(t *testing.T, program string, queries []string) map[string][][]string {
 	t.Helper()
 	sys := coral.New()
@@ -94,13 +96,27 @@ func TestDifferentialServing(t *testing.T) {
 	}
 }
 
+// setEngineHook sets one of engine.System's unexported no* test hooks
+// (noHashJoins, noBytecode) on a system's engine. Production code has no
+// way to select the off arms, so the differential reaches them the way
+// the engine's own suites do — by writing the hook field — and fails
+// loudly if the field is renamed or retyped.
+func setEngineHook(t *testing.T, sys *coral.System, field string, on bool) {
+	t.Helper()
+	f := reflect.ValueOf(sys.Engine()).Elem().FieldByName(field)
+	if !f.IsValid() || f.Kind() != reflect.Bool {
+		t.Fatalf("engine.System has no bool field %s", field)
+	}
+	reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem().SetBool(on)
+}
+
 // runServingDiff serves one configured system to 2*perKind concurrent
 // clients (half in snapshot sessions, half one-shot) and checks every
 // response against the reference answers.
 func runServingDiff(t *testing.T, program string, queries []string, want map[string][][]string, hashJoins, bytecode bool, perKind int) {
 	sys := coral.New()
-	sys.SetHashJoins(hashJoins)
-	sys.SetBytecode(bytecode)
+	setEngineHook(t, sys, "noHashJoins", !hashJoins)
+	setEngineHook(t, sys, "noBytecode", !bytecode)
 	if _, err := sys.Consult(program); err != nil {
 		t.Fatalf("consult: %v", err)
 	}

@@ -502,6 +502,10 @@ tc(X, Y) :- edge(X, Z), tc(Z, Y).
 end_module.
 `)
 	_, ts := newTestServer(t, b.String(), Options{})
+	// The requests go through the server's own client so that its
+	// keep-alive connections, which would otherwise sit in a shared pool
+	// holding read and write goroutines, can be closed before counting.
+	client := ts.Client()
 	base := runtime.NumGoroutine()
 
 	for i := 0; i < 4; i++ {
@@ -509,12 +513,13 @@ end_module.
 		raw, _ := json.Marshal(QueryRequest{Query: "tc(X, Y)"})
 		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/query", bytes.NewReader(raw))
 		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := client.Do(req)
 		if err == nil {
 			resp.Body.Close()
 		}
 		cancel()
 	}
+	client.CloseIdleConnections()
 
 	deadline := time.Now().Add(3 * time.Second)
 	for {
